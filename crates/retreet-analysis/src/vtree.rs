@@ -237,25 +237,58 @@ impl ValueTree {
         tree
     }
 
-    /// Fills every listed field of every node with a deterministic
-    /// pseudo-random small integer derived from `seed` (a simple linear
-    /// congruential generator, good enough for differential testing and
-    /// reproducible across runs).
+    /// Fills every listed field of every node with the values of
+    /// [`field_values`]`(seed)`, drawn node by node in index order and,
+    /// within a node, in the order of `fields`.
     pub fn fill_fields(&mut self, fields: &[&str], seed: u64) {
-        let mut state = seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let nodes: Vec<NodeId> = self.nodes().collect();
-        for node in nodes {
-            for field in fields {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                // Small signed values keep the arithmetic readable in
-                // counterexamples and avoid overflow in long traversals.
-                let value = ((state >> 33) % 17) as i64 - 8;
-                self.set_field(node, field, value);
+        let mut values = field_values(seed);
+        for node in 0..self.nodes.len() as u32 {
+            for (field, value) in fields.iter().zip(&mut values) {
+                self.set_field(NodeId(node), field, value);
             }
+        }
+    }
+}
+
+/// The deterministic pseudo-random field values seeded by `seed`: a simple
+/// linear congruential generator, good enough for differential testing and
+/// reproducible across runs.  Every seeded tree draws from this one stream
+/// ([`ValueTree::fill_fields`] and the VM's flat complete-tree builder), so
+/// the two representations of a seeded tree cannot drift apart.
+pub fn field_values(seed: u64) -> impl Iterator<Item = i64> {
+    fn step(state: u64) -> u64 {
+        state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407)
+    }
+    let mut state = step(seed);
+    std::iter::repeat_with(move || {
+        state = step(state);
+        // Small signed values keep the arithmetic readable in
+        // counterexamples and avoid overflow in long traversals.
+        ((state >> 33) % 17) as i64 - 8
+    })
+}
+
+/// The node count of a complete `arity`-ary tree of the given height
+/// (`1 + arity + … + arity^(height-1)`), or `None` when it overflows
+/// `usize`.  Computed without allocating, so a caller can bound a tree
+/// before building it.
+pub fn complete_kary_len(arity: u8, height: usize) -> Option<usize> {
+    match arity {
+        0 => Some(height.min(1)),
+        1 => Some(height),
+        _ => {
+            // At least doubling per level, so an absurd height overflows
+            // within a few dozen iterations.
+            let (mut total, mut level) = (0usize, 1usize);
+            for depth in 0..height {
+                if depth > 0 {
+                    level = level.checked_mul(arity as usize)?;
+                }
+                total = total.checked_add(level)?;
+            }
+            Some(total)
         }
     }
 }
@@ -511,6 +544,33 @@ mod tests {
         assert_eq!(a, b, "filling is deterministic");
         b.fill_fields(&["v"], 8);
         assert_ne!(a, b, "different seeds give different valuations");
+    }
+
+    #[test]
+    fn field_values_are_the_fill_stream() {
+        let mut tree = ValueTree::complete_kary(3, 3, &[], |_, _| 0);
+        tree.fill_fields(&["a", "b"], 5);
+        let expected: Vec<i64> = field_values(5).take(2 * tree.len()).collect();
+        let filled: Vec<i64> = tree
+            .nodes()
+            .flat_map(|node| [tree.field(node, "a"), tree.field(node, "b")])
+            .collect();
+        assert_eq!(filled, expected);
+    }
+
+    #[test]
+    fn complete_kary_len_counts_nodes_and_reports_overflow() {
+        for arity in 1..=4u8 {
+            for height in 1..=5 {
+                let tree = ValueTree::complete_kary(arity, height, &[], |_, _| 0);
+                assert_eq!(complete_kary_len(arity, height), Some(tree.len()));
+            }
+        }
+        assert_eq!(complete_kary_len(2, 16), Some(65_535));
+        assert_eq!(complete_kary_len(3, 11), Some(88_573));
+        assert_eq!(complete_kary_len(8, 64), None);
+        assert_eq!(complete_kary_len(2, usize::MAX), None);
+        assert_eq!(complete_kary_len(1, usize::MAX), Some(usize::MAX));
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! The interpreter walks a [`ValueTree`] whose per-node fields live in a
 //! `BTreeMap<String, i64>` — every field access hashes a string.  The VM
 //! instead addresses nodes by dense `u32` index and fields by compile-time
-//! resolved column id: a [`FlatTree`] is a structure-of-arrays view (left
-//! child, right child, one `i64` column per field) built once per run from
-//! the input [`ValueTree`] and written back once at the end.
+//! resolved column id: a [`FlatTree`] is a structure-of-arrays view (one
+//! child column per axis, one `i64` column per field) built once per run
+//! from the input [`ValueTree`] and written back once at the end — or, for
+//! a seeded complete tree, built directly by [`FlatTree::complete_kary`]
+//! with no [`ValueTree`] at all.
 
-use retreet_analysis::vtree::{NodeId, ValueTree};
+use retreet_analysis::vtree::{complete_kary_len, field_values, NodeId, ValueTree};
 
 /// The nil sentinel: `u32::MAX` marks an absent child (and the nil node a
 /// callee may legally run on).
@@ -15,7 +17,7 @@ pub const NIL: u32 = u32::MAX;
 
 /// A structure-of-arrays k-ary tree with integer field columns: one dense
 /// `u32` child column per axis, one `i64` column per field.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatTree {
     children: Vec<Vec<u32>>,
     columns: Vec<Vec<i64>>,
@@ -51,6 +53,45 @@ impl FlatTree {
                     .collect()
             })
             .collect();
+        FlatTree { children, columns }
+    }
+
+    /// Builds the seeded complete tree directly in flat form: node for
+    /// node, the flat view of `ValueTree::complete_kary(arity, height,
+    /// fields, |_, _| 0)` followed by `fill_fields(fields, seed)` — the same
+    /// numbering (every child of a node is allocated before descending into
+    /// the first) and the same [`field_values`] stream — with
+    /// `arity.max(2)` child columns, like
+    /// [`FlatTree::from_value_tree_kary`].  `fields` are distinct names, as
+    /// [`crate::program_fields`] yields them.
+    pub fn complete_kary(arity: u8, height: usize, fields: &[String], seed: u64) -> Self {
+        assert!(height >= 1);
+        assert!(arity >= 1);
+        let n = complete_kary_len(arity, height)
+            .filter(|&n| n < NIL as usize)
+            .expect("complete tree fits u32 node indices");
+        let mut children = vec![vec![NIL; n]; arity.max(2) as usize];
+        let mut next = 1u32;
+        let mut pending = vec![(0u32, height - 1)];
+        while let Some((node, remaining)) = pending.pop() {
+            if remaining == 0 {
+                continue;
+            }
+            let first = next;
+            for column in &mut children[..arity as usize] {
+                column[node as usize] = next;
+                next += 1;
+            }
+            // Reversed, so the first child's subtree is expanded first.
+            pending.extend((first..next).rev().map(|child| (child, remaining - 1)));
+        }
+        let mut columns = vec![Vec::with_capacity(n); fields.len()];
+        let mut values = field_values(seed);
+        for _ in 0..n {
+            for (column, value) in columns.iter_mut().zip(&mut values) {
+                column.push(value);
+            }
+        }
         FlatTree { children, columns }
     }
 
@@ -174,6 +215,23 @@ mod tests {
         assert_eq!(back.field(root, "w"), 42);
         assert_eq!(back.field(l, "v"), -3);
         assert!(trees_agree(&back, &back));
+    }
+
+    #[test]
+    fn complete_kary_matches_the_flattened_value_tree() {
+        let fields = vec!["a".to_string(), "v".to_string()];
+        let refs = ["a", "v"];
+        for arity in 1..=4u8 {
+            for height in 1..=4 {
+                let mut tree = ValueTree::complete_kary(arity, height, &refs, |_, _| 0);
+                tree.fill_fields(&refs, 17);
+                assert_eq!(
+                    FlatTree::complete_kary(arity, height, &fields, 17),
+                    FlatTree::from_value_tree_kary(&tree, &fields, arity),
+                    "arity {arity}, height {height}"
+                );
+            }
+        }
     }
 
     #[test]

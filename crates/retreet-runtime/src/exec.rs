@@ -3,12 +3,14 @@
 //!
 //! A [`ProgramExecutor`] is built once per program and reused across trees:
 //! it holds the compiled [`CompiledProgram`] (when compilation succeeded), a
-//! pooled [`Vm`] behind a mutex, and the interpreter's prebuilt
-//! [`BlockTable`] for the fallback path.  Construction through
-//! [`ProgramExecutor::with_verifier`] additionally runs the certified
-//! iterative-lowering pipeline of `retreet-codegen`, so self-recursive
-//! traversals execute as explicit-worklist loops — but only when the
-//! verifier certified the lowering equivalent to the recursion.
+//! pooled [`Vm`] behind a mutex (held for the VM run only, never for tree
+//! building), and the interpreter's prebuilt [`BlockTable`] for the
+//! fallback path.  [`ProgramExecutor::run_complete`] runs on a seeded
+//! complete tree that the VM tier builds directly in flat form.
+//! Construction through [`ProgramExecutor::with_verifier`] additionally
+//! runs the certified iterative-lowering pipeline of `retreet-codegen`, so
+//! self-recursive traversals execute as explicit-worklist loops — but only
+//! when the verifier certified the lowering equivalent to the recursion.
 //!
 //! Runtime errors (nil dereference, depth exhaustion) are *program* errors
 //! the interpreter would raise identically, so they are reported, not used
@@ -21,7 +23,8 @@ use std::sync::Mutex;
 use retreet_analysis::interp::{self, InterpError};
 use retreet_analysis::vtree::ValueTree;
 use retreet_codegen::{
-    compile, compile_with_lowering, CompiledProgram, LoweringCertificate, Vm, VmError,
+    compile, compile_with_lowering, program_fields, CompiledProgram, FlatTree, LoweringCertificate,
+    Vm, VmError,
 };
 use retreet_lang::ast::Program;
 use retreet_lang::blocks::BlockTable;
@@ -54,6 +57,18 @@ pub struct ExecOutcome {
     pub returns: Vec<i64>,
     /// The tree after all field writes.
     pub tree: ValueTree,
+    /// The tier that executed the program.
+    pub tier: ExecTier,
+}
+
+/// The result of [`ProgramExecutor::run_complete`]: `Main`'s values, the
+/// node count of the tree they were computed on, and the tier that ran.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CompleteRun {
+    /// Values returned by `Main`.
+    pub returns: Vec<i64>,
+    /// Nodes in the complete tree.
+    pub nodes: usize,
     /// The tier that executed the program.
     pub tier: ExecTier,
 }
@@ -138,21 +153,74 @@ impl ProgramExecutor {
     pub fn run(&self, tree: &ValueTree) -> Result<ExecOutcome, ExecError> {
         match &self.compiled {
             Some(compiled) => {
-                let result = self
-                    .vm
-                    .lock()
-                    .expect("vm lock")
-                    .run(compiled, tree)
-                    .map_err(ExecError::Vm)?;
-                self.vm_runs.fetch_add(1, Ordering::Relaxed);
+                let mut flat =
+                    FlatTree::from_value_tree_kary(tree, &compiled.fields, compiled.arity);
+                let returns = self.run_vm(compiled, &mut flat)?;
                 Ok(ExecOutcome {
-                    returns: result.returns,
-                    tree: result.tree,
+                    returns,
+                    tree: flat.write_back(tree, &compiled.fields),
                     tier: ExecTier::Vm,
                 })
             }
             None => self.run_interpreted(tree),
         }
+    }
+
+    /// Runs the program on the seeded complete tree
+    /// `ValueTree::complete_kary(arity, height, ..)` filled by
+    /// `fill_fields(.., seed)` over the program's fields, and answers only
+    /// `Main`'s values — for callers that do not need the post-run tree.
+    /// The VM tier builds the tree straight into a [`FlatTree`]
+    /// ([`FlatTree::complete_kary`]), so no [`ValueTree`] is built,
+    /// flattened or written back; the interpreter tier builds the
+    /// [`ValueTree`] as [`Self::run`] would run on it.
+    pub fn run_complete(
+        &self,
+        arity: u8,
+        height: usize,
+        seed: u64,
+    ) -> Result<CompleteRun, ExecError> {
+        match &self.compiled {
+            Some(compiled) => {
+                let mut tree = FlatTree::complete_kary(arity, height, &compiled.fields, seed);
+                let returns = self.run_vm(compiled, &mut tree)?;
+                Ok(CompleteRun {
+                    returns,
+                    nodes: tree.len(),
+                    tier: ExecTier::Vm,
+                })
+            }
+            None => {
+                let fields = program_fields(self.table.program());
+                let refs: Vec<&str> = fields.iter().map(String::as_str).collect();
+                let mut tree = ValueTree::complete_kary(arity, height, &refs, |_, _| 0);
+                tree.fill_fields(&refs, seed);
+                let outcome = self.run_interpreted(&tree)?;
+                Ok(CompleteRun {
+                    returns: outcome.returns,
+                    nodes: tree.len(),
+                    tier: outcome.tier,
+                })
+            }
+        }
+    }
+
+    /// One VM run on a flat tree.  The pooled VM is locked for the run
+    /// alone, so concurrent callers of one executor overlap their tree
+    /// building and write-back.
+    fn run_vm(
+        &self,
+        compiled: &CompiledProgram,
+        tree: &mut FlatTree,
+    ) -> Result<Vec<i64>, ExecError> {
+        let returns = self
+            .vm
+            .lock()
+            .expect("vm lock")
+            .run_flat(compiled, tree)
+            .map_err(ExecError::Vm)?;
+        self.vm_runs.fetch_add(1, Ordering::Relaxed);
+        Ok(returns)
     }
 
     /// Runs the program on the interpreter tier unconditionally (the
@@ -229,6 +297,40 @@ mod tests {
             ),
             "interpreter surfaces the unknown callee at run time"
         );
+    }
+
+    #[test]
+    fn run_complete_matches_run_on_the_seeded_value_tree() {
+        let ghost = retreet_lang::parser::parse_program(
+            "fn Main(n) { if (n == nil) { g = Ghost(n); return g; } else { n.v = n.v + 1; \
+             return n.v; } }",
+        )
+        .expect("parse");
+        for (program, tier) in [
+            (corpus::tree_mutation_original(), ExecTier::Vm),
+            (corpus::ternary_sum_parallel(), ExecTier::Vm),
+            (ghost, ExecTier::Interpreter),
+        ] {
+            let executor = ProgramExecutor::new(&program);
+            let fields = program_fields(&program);
+            let refs: Vec<&str> = fields.iter().map(String::as_str).collect();
+            for (arity, height, seed) in [(3, 1, 0), (3, 4, 7), (4, 3, 21)] {
+                let mut tree = ValueTree::complete_kary(arity, height, &refs, |_, _| 0);
+                tree.fill_fields(&refs, seed);
+                let expected = executor.run(&tree).expect("run");
+                let actual = executor
+                    .run_complete(arity, height, seed)
+                    .expect("run_complete");
+                assert_eq!(
+                    actual,
+                    CompleteRun {
+                        returns: expected.returns,
+                        nodes: tree.len(),
+                        tier,
+                    }
+                );
+            }
+        }
     }
 
     #[test]

@@ -47,7 +47,8 @@ pub mod verified;
 pub mod visit;
 
 pub use exec::{
-    run_compiled, run_compiled_certified, ExecError, ExecOutcome, ExecTier, ProgramExecutor,
+    run_compiled, run_compiled_certified, CompleteRun, ExecError, ExecOutcome, ExecTier,
+    ProgramExecutor,
 };
 pub use tree::{complete_tree, random_tree, TreeNode};
 pub use tune::{tune_and_compile, TunedProgram};

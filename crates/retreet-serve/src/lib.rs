@@ -22,16 +22,21 @@
 //! * `batch` — `queries`: an array of the above; answered through
 //!   [`Verifier::verify_batch`], results in input order.
 //! * `run` — `program` plus optional `height` (complete-tree height, default
-//!   6, capped), `seed` (field valuation) and `arity` (complete-tree arity,
+//!   6), `seed` (field valuation) and `arity` (complete-tree arity,
 //!   default: the program's declared arity, so binary programs run on binary
-//!   complete trees; out-of-range axes are a `bad_request`); *executes* the
-//!   program through the `retreet-runtime` compiled tier (bytecode VM with
-//!   certified iterative lowering, interpreter fallback) and answers with
-//!   the returned values, the executing tier and the certified-lowered
-//!   functions.  Executors are compiled once per distinct source and cached.
-//! * `tune` — `program` plus optional `height` / `seed` / `arity` (same
-//!   rules as `run`): runs the certified schedule autotuner
-//!   (`retreet_runtime::tune_and_compile`) over the program's pass pipeline
+//!   complete trees; out-of-range axes are a `bad_request`); a tree of more
+//!   than 65,535 nodes (the binary height-16 count) is a `bad_request`, and
+//!   an omitted height is clamped to fit.  *Executes* the program through
+//!   the `retreet-runtime` compiled tier (bytecode VM with certified
+//!   iterative lowering on a tree built directly in flat form, interpreter
+//!   fallback) and answers with the returned values, the executing tier,
+//!   the certified-lowered functions and the node count; `elapsed_us`
+//!   covers building the tree and running the program.  Executors are
+//!   compiled once per distinct source and cached.
+//! * `tune` — `program` plus optional `height` (default 8) / `seed` /
+//!   `arity` (same rules and node bound as `run`): runs the certified
+//!   schedule autotuner (`retreet_runtime::tune_and_compile`) over the
+//!   program's pass pipeline
 //!   and answers with the winning schedule's source, its certificate
 //!   provenance (kind, engine, soundness), the baseline and tuned costs,
 //!   and the full candidate table — certified candidates with measured VM
@@ -107,7 +112,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use retreet_analysis::vtree::ValueTree;
+use retreet_analysis::vtree::complete_kary_len;
 use retreet_lang::ast::Program;
 use retreet_lang::corpus;
 use retreet_mso::formula::Formula;
@@ -601,33 +606,18 @@ impl Service {
                 return error_response(id, "bad_request", &format!("cannot parse `program`: {err}"))
             }
         };
-        let height = match request.get("height") {
-            None => DEFAULT_RUN_HEIGHT,
-            Some(Value::Number(h)) if *h >= 1.0 && *h <= MAX_RUN_HEIGHT as f64 => *h as usize,
-            Some(_) => {
-                return error_response(
-                    id,
-                    "bad_request",
-                    &format!("`height` must be a number between 1 and {MAX_RUN_HEIGHT}"),
-                )
-            }
-        };
         let seed = match request.get("seed") {
             None => 0,
             Some(Value::Number(s)) => *s as u64,
             Some(_) => return error_response(id, "bad_request", "`seed` must be a number"),
         };
-        let arity = match parse_arity(request, &program) {
-            Ok(arity) => arity,
+        let (arity, height) = match parse_tree_shape(request, &program, DEFAULT_RUN_HEIGHT) {
+            Ok(shape) => shape,
             Err(err) => return error_response(id, "bad_request", &err),
         };
         let executor = self.executor_for(source, &program);
-        let fields = retreet_codegen::program_fields(&program);
-        let field_refs: Vec<&str> = fields.iter().map(String::as_str).collect();
-        let mut tree = ValueTree::complete_kary(arity, height, &field_refs, |_, _| 0);
-        tree.fill_fields(&field_refs, seed);
         let started = std::time::Instant::now();
-        match executor.run(&tree) {
+        match executor.run_complete(arity, height, seed) {
             Ok(outcome) => {
                 match outcome.tier {
                     ExecTier::Vm => self.vm_runs.fetch_add(1, Ordering::Relaxed),
@@ -647,7 +637,7 @@ impl Service {
                     outcome.tier,
                     returns.join(","),
                     lowered.join(","),
-                    tree.len(),
+                    outcome.nodes,
                     started.elapsed().as_micros(),
                 ));
                 out
@@ -681,17 +671,6 @@ impl Service {
                 &format!("`program` nests deeper than {MAX_PROGRAM_NESTING} levels"),
             );
         }
-        let height = match request.get("height") {
-            None => DEFAULT_TUNE_HEIGHT,
-            Some(Value::Number(h)) if *h >= 1.0 && *h <= MAX_RUN_HEIGHT as f64 => *h as usize,
-            Some(_) => {
-                return error_response(
-                    id,
-                    "bad_request",
-                    &format!("`height` must be a number between 1 and {MAX_RUN_HEIGHT}"),
-                )
-            }
-        };
         let seed = match request.get("seed") {
             None => 0,
             Some(Value::Number(s)) => *s as u64,
@@ -703,8 +682,8 @@ impl Service {
                 return error_response(id, "bad_request", &format!("cannot parse `program`: {err}"))
             }
         };
-        let arity = match parse_arity(request, &program) {
-            Ok(arity) => arity,
+        let (arity, height) = match parse_tree_shape(request, &program, DEFAULT_TUNE_HEIGHT) {
+            Ok(shape) => shape,
             Err(err) => return error_response(id, "bad_request", &err),
         };
         let cache_key = format!("{source}\u{1f}{height}\u{1f}{seed}\u{1f}{arity}");
@@ -899,18 +878,20 @@ impl Drop for Service {
     }
 }
 
-/// Default complete-tree height for `run` requests (2^6 - 1 = 63 nodes).
+/// Default complete-tree height for `run` requests (2^6 - 1 = 63 nodes on
+/// binary trees).
 const DEFAULT_RUN_HEIGHT: usize = 6;
 
 /// Default measurement-tree height for `tune` requests — taller than the
-/// `run` default so VM timings dominate dispatch overhead, still well under
-/// the [`MAX_RUN_HEIGHT`] allocation bound.
+/// `run` default so VM timings dominate dispatch overhead.
 const DEFAULT_TUNE_HEIGHT: usize = 8;
 
-/// Largest complete-tree height a `run` request may ask for (2^16 - 1 nodes
-/// ≈ 0.5 MB per field column — bounded, so a hostile request cannot make the
-/// shared service allocate without limit).
-const MAX_RUN_HEIGHT: usize = 16;
+/// Most nodes the complete tree of a `run` or `tune` request may have: the
+/// binary height-16 count (2^16 - 1, ≈ 0.5 MB per field column).  Bounding
+/// the node count rather than the height keeps the bound whatever the
+/// arity, so a hostile request cannot make the shared service allocate
+/// without limit.
+const MAX_RUN_NODES: usize = 65_535;
 
 /// Most compiled executors the service keeps cached; see
 /// [`Service::executor_for`].
@@ -1038,6 +1019,33 @@ fn parse_arity(
         ));
     }
     Ok(requested)
+}
+
+/// Parses the complete-tree shape of a `run`/`tune` request: its arity
+/// (see [`parse_arity`]) and its `height`, refusing any shape whose
+/// complete tree would exceed [`MAX_RUN_NODES`] before anything is
+/// allocated.  An omitted height is `default`, clamped down to the largest
+/// height within the bound at that arity.
+fn parse_tree_shape(
+    request: &std::collections::BTreeMap<String, Value>,
+    program: &Program,
+    default: usize,
+) -> Result<(u8, usize), String> {
+    let arity = parse_arity(request, program)?;
+    let within_bound =
+        |height: usize| complete_kary_len(arity, height).is_some_and(|n| n <= MAX_RUN_NODES);
+    let height = match request.get("height") {
+        None => (1..=default).rev().find(|&h| within_bound(h)).unwrap_or(1),
+        Some(Value::Number(h)) if *h >= 1.0 => *h as usize,
+        Some(_) => return Err(String::from("`height` must be a number of at least 1")),
+    };
+    if !within_bound(height) {
+        return Err(format!(
+            "a complete arity-{arity} tree of height {height} has more than \
+             {MAX_RUN_NODES} nodes"
+        ));
+    }
+    Ok((arity, height))
 }
 
 fn push_id(out: &mut String, id: Option<&Value>) {
@@ -1548,6 +1556,81 @@ mod tests {
             "{response}"
         );
         assert_eq!(field(&response, "nodes"), Value::Number(13.0));
+    }
+
+    #[test]
+    fn trees_beyond_the_node_bound_are_typed_bad_requests() {
+        let service = quick_service();
+        let binary = json::escape(corpus::SIZE_COUNTING_SEQUENTIAL_SRC);
+        let ternary = json::escape(corpus::TERNARY_SUM_PARALLEL_SRC);
+        let next = format!(r#"{{"kind": "run", "program": "{binary}", "height": 3}}"#);
+        let over = "more than 65535 nodes";
+        for (request, reason) in [
+            // 8^16 alone is about 2.8e14 nodes.
+            (
+                format!(r#"{{"kind": "run", "program": "{binary}", "arity": 8, "height": 16}}"#),
+                over,
+            ),
+            // 88,573 nodes: over the bound by one ternary level.
+            (
+                format!(r#"{{"kind": "run", "program": "{ternary}", "height": 11}}"#),
+                over,
+            ),
+            (
+                format!(r#"{{"kind": "tune", "program": "{binary}", "arity": 8, "height": 16}}"#),
+                over,
+            ),
+            (
+                format!(r#"{{"kind": "tune", "program": "{binary}", "arity": 3, "height": 11}}"#),
+                over,
+            ),
+            // A height whose node count overflows usize.
+            (
+                format!(r#"{{"kind": "run", "program": "{binary}", "height": 1e300}}"#),
+                over,
+            ),
+            (
+                format!(r#"{{"kind": "run", "program": "{binary}", "height": 0}}"#),
+                "at least 1",
+            ),
+        ] {
+            let response = service.handle_line(&request);
+            assert_eq!(
+                field(&response, "code").as_str(),
+                Some("bad_request"),
+                "{request} -> {response}"
+            );
+            let error = field(&response, "error");
+            assert!(error.as_str().unwrap().contains(reason), "{response}");
+            let response = service.handle_line(&next);
+            assert_eq!(field(&response, "nodes"), Value::Number(7.0), "{response}");
+        }
+        // The bound itself is allowed.
+        let request = format!(r#"{{"kind": "run", "program": "{binary}", "height": 16}}"#);
+        let response = service.handle_line(&request);
+        assert_eq!(
+            field(&response, "nodes"),
+            Value::Number(65_535.0),
+            "{response}"
+        );
+    }
+
+    #[test]
+    fn omitted_heights_clamp_to_the_node_bound() {
+        let binary = corpus::size_counting_sequential();
+        let shape = |arity: u8, default: usize| {
+            let request = std::collections::BTreeMap::from([(
+                String::from("arity"),
+                Value::Number(arity as f64),
+            )]);
+            parse_tree_shape(&request, &binary, default)
+        };
+        assert_eq!(shape(2, DEFAULT_TUNE_HEIGHT), Ok((2, 8)));
+        // 5^8 / 4 ≈ 97,656 nodes at height 8; height 7 has 19,531.
+        assert_eq!(shape(5, DEFAULT_TUNE_HEIGHT), Ok((5, 7)));
+        // Height 7 would be 299,593 nodes; height 6 has 37,449.
+        assert_eq!(shape(8, DEFAULT_TUNE_HEIGHT), Ok((8, 6)));
+        assert_eq!(shape(8, DEFAULT_RUN_HEIGHT), Ok((8, 6)));
     }
 
     #[test]

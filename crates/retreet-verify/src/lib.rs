@@ -1433,10 +1433,15 @@ mod tests {
         assert!(results[1].as_ref().unwrap().is_valid());
         assert!(results[2].as_ref().unwrap().is_race_free());
         assert!(!results[3].as_ref().unwrap().is_race_free());
-        // The duplicate query was answered by cache or coalescing, not by a
-        // second portfolio dispatch.
-        let dup = results[3].as_ref().unwrap();
-        assert!(dup.cached || dup.coalesced);
+        // The identical pair ran the portfolio once: exactly one of the two
+        // led, and the other was answered by the cache or by coalescing.
+        // Which one leads depends on when the fan-out's worker starts, so
+        // neither position is assumed.
+        let answered_without_dispatch = |i: usize| {
+            let verdict = results[i].as_ref().unwrap();
+            verdict.cached || verdict.coalesced
+        };
+        assert_ne!(answered_without_dispatch(0), answered_without_dispatch(3));
     }
 
     #[test]

@@ -14,8 +14,10 @@ use crate::engine::Engine;
 /// How far a verdict's guarantee extends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Soundness {
-    /// The verdict holds on *every* finite binary tree (the tree-automata
-    /// engine's answers, playing MONA's role).
+    /// The verdict holds on *every* finite tree of the program's declared
+    /// arity — on every finite binary tree for MSO validity, whose formulas
+    /// speak of binary trees (the tree-automata engine's answers, playing
+    /// MONA's role).
     Unbounded,
     /// The verdict was established by exhausting every model up to a node
     /// bound — the reproduction's bounded substitute for MONA.  Negative

@@ -151,9 +151,22 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Held by every test that takes worker tokens or reads
+    /// `ACTIVE_WORKERS`: the counter is process-global, so a sibling test
+    /// running concurrently would otherwise hold tokens while another
+    /// asserts that none are held.
+    static TOKENS: Mutex<()> = Mutex::new(());
+
+    fn exclusive_tokens() -> MutexGuard<'static, ()> {
+        // A failed sibling test must not cascade into every later one.
+        TOKENS.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn join_returns_both_results() {
+        let _tokens = exclusive_tokens();
         let (a, b) = join(|| 2 + 2, || "ok");
         assert_eq!(a, 4);
         assert_eq!(b, "ok");
@@ -161,6 +174,7 @@ mod tests {
 
     #[test]
     fn nested_joins_do_not_deadlock_or_leak_tokens() {
+        let _tokens = exclusive_tokens();
         fn sum(depth: u32) -> u64 {
             if depth == 0 {
                 return 1;
@@ -174,6 +188,7 @@ mod tests {
 
     #[test]
     fn scope_joins_all_spawned_tasks() {
+        let _tokens = exclusive_tokens();
         let counter = AtomicU64::new(0);
         scope(|s| {
             for _ in 0..32 {

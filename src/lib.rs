@@ -109,6 +109,8 @@
 //! | `retreet_mso::encode::check_overlap(&a, &b)` / `guards_equivalent(&a, &b)` | `check_overlap_k(&a, &b, arity)` / `guards_equivalent_k(&a, &b, arity)` — the binary names remain as arity-2 shorthands; above arity 2 the overlap/equivalence question is decided by the direct region case analysis (the slotted binarization stays the documented semantics) |
 //! | `TreeCorpus::new(max_nodes, &fields, valuations)` (binary only) | `TreeCorpus::with_arity(arity, max_nodes, &fields, valuations)` — k-ary shape enumeration; `ValueTree::complete_kary(arity, height, &fields, init)` builds complete k-ary measurement trees |
 //! | `run` / `tune` service requests pinned to binary trees | both accept an optional `"arity"` field (2 ≤ arity ≤ 8, at least the program's declared arity; out-of-range answers a typed `bad_request`); `TuneOptions` gains `tree_arity` |
+//! | `ValueTree::complete_kary(arity, height, &fields, \|_, _\| 0)` + `fill_fields(&fields, seed)` + `executor.run(&tree)` when only `returns` are needed | `executor.run_complete(arity, height, seed)` → `CompleteRun { returns, nodes, tier }`: the VM tier builds the seeded tree straight into a `FlatTree` (`FlatTree::complete_kary`, same numbering and the same `vtree::field_values` stream), with no `ValueTree` built, flattened or written back; the interpreter tier still builds the `ValueTree` |
+//! | `run` / `tune` heights capped at 16 whatever the arity | the complete tree is bounded by node count: more than 65,535 nodes (the binary height-16 count, `vtree::complete_kary_len`) is a typed `bad_request`, and an omitted height is clamped to fit |
 //!
 //! # Benchmarks
 //!

@@ -1,11 +1,13 @@
 //! Arity-generic property tests: random traversal programs at arities 2–4
 //! must roundtrip through the printer and execute identically on the
-//! reference interpreter and the bytecode VM, over enumerated k-ary trees.
+//! reference interpreter and the bytecode VM, over enumerated k-ary trees;
+//! and the VM's flat complete-tree builder must reproduce the seeded
+//! `ValueTree` path at every arity 2–8.
 
 use proptest::prelude::*;
 use retreet_analysis::interp;
-use retreet_analysis::vtree::TreeCorpus;
-use retreet_codegen::{compile, trees_agree, Vm};
+use retreet_analysis::vtree::{complete_kary_len, TreeCorpus, ValueTree};
+use retreet_codegen::{compile, trees_agree, FlatTree, Vm};
 use retreet_lang::parser::parse_program;
 use retreet_lang::pretty::print_program;
 
@@ -45,7 +47,58 @@ fn traversal_source(arity: usize, order: &[usize], seed: u64) -> String {
     src
 }
 
+/// Every `(arity, height)` whose complete tree stays within the serving
+/// node bound (65,535 nodes, the binary height-16 count), arities 2–8.
+fn shapes_within_the_node_bound() -> Vec<(u8, usize)> {
+    let mut shapes = Vec::new();
+    for arity in 2..=8u8 {
+        let fits = |h: usize| complete_kary_len(arity, h).is_some_and(|n| n <= 65_535);
+        shapes.extend((1..).take_while(|&h| fits(h)).map(|h| (arity, h)));
+    }
+    shapes
+}
+
+/// Asserts that the flat complete-tree builder produces, node for node,
+/// the flat view of the seeded `ValueTree` path it replaces on `run`.
+fn assert_flat_builder_matches(arity: u8, height: usize, field_count: usize, seed: u64) {
+    let fields: Vec<String> = ["v", "a", "total", "x"][..field_count]
+        .iter()
+        .map(|f| f.to_string())
+        .collect();
+    let refs: Vec<&str> = fields.iter().map(String::as_str).collect();
+    let mut tree = ValueTree::complete_kary(arity, height, &refs, |_, _| 0);
+    tree.fill_fields(&refs, seed);
+    assert_eq!(
+        FlatTree::complete_kary(arity, height, &fields, seed),
+        FlatTree::from_value_tree_kary(&tree, &fields, arity),
+        "arity {arity}, height {height}, {field_count} fields, seed {seed}"
+    );
+}
+
+/// Every arity 2–8 at every height within the node bound, each with its
+/// own field count and seed.
+#[test]
+fn flat_complete_trees_match_the_value_tree_path_at_every_bounded_shape() {
+    for (index, (arity, height)) in shapes_within_the_node_bound().into_iter().enumerate() {
+        let seed = (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        assert_flat_builder_matches(arity, height, index % 5, seed);
+    }
+}
+
 proptest! {
+    /// The same equality on random shapes within the bound, 0–4 fields and
+    /// random seeds.
+    #[test]
+    fn flat_complete_trees_match_the_value_tree_path_on_random_seeds(
+        shape in 0usize..1024,
+        field_count in 0usize..5,
+        seed in any::<u64>(),
+    ) {
+        let shapes = shapes_within_the_node_bound();
+        let (arity, height) = shapes[shape % shapes.len()];
+        assert_flat_builder_matches(arity, height, field_count, seed);
+    }
+
     /// `parse(print(p)) == p` for random k-ary programs at arities 2–4, in
     /// both the indexed (`c0..c{k-1}`) and the printed-back spelling.
     #[test]
