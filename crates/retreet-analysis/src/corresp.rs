@@ -12,7 +12,7 @@
 //!
 //! Ordering side conditions that involve *different* nodes — a pass writing
 //! a whole subtree while another reads one node of it — are discharged with
-//! the NFTA region-overlap machinery of [`retreet_mso::encode`], so a
+//! the exact region-overlap decider of [`retreet_mso::encode`], so a
 //! successful match is sound for every tree and valuation.  Anything the
 //! matcher does not understand yields [`CorrespVerdict::NotApplicable`],
 //! and the caller falls back to a bounded engine.
@@ -216,7 +216,6 @@ struct Verifier<'a> {
     orig_summaries: Vec<FieldSummary>,
     proven: BTreeSet<EntryKey>,
     in_progress: Vec<EntryKey>,
-    overlap_memo: BTreeMap<(Region, Region), bool>,
     entries_verified: usize,
 }
 
@@ -229,20 +228,17 @@ impl<'a> Verifier<'a> {
             orig_summaries: transitive_field_summaries(&table),
             proven: BTreeSet::new(),
             in_progress: Vec::new(),
-            overlap_memo: BTreeMap::new(),
             entries_verified: 0,
         }
     }
 
-    fn may_overlap(&mut self, a: Region, b: Region) -> bool {
+    fn may_overlap(&self, a: Region, b: Region) -> bool {
+        let side = |region| ConflictSide {
+            region,
+            guard: StructConstraint::default(),
+        };
         let arity = self.original.arity.max(self.fused.arity);
-        *self.overlap_memo.entry((a, b)).or_insert_with(|| {
-            let side = |region| ConflictSide {
-                region,
-                guard: StructConstraint::default(),
-            };
-            !check_overlap_k(&side(a), &side(b), arity).is_disjoint()
-        })
+        !check_overlap_k(&side(a), &side(b), arity).is_disjoint()
     }
 
     /// Field footprint of a role item, over-approximated: direct accesses at
@@ -329,7 +325,7 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    fn field_conflict(&mut self, a: &Item, b: &Item) -> bool {
+    fn field_conflict(&self, a: &Item, b: &Item) -> bool {
         let fp_a = self.footprint(a);
         let fp_b = self.footprint(b);
         for (region_a, field_a, write_a) in &fp_a {
@@ -345,7 +341,7 @@ impl<'a> Verifier<'a> {
         false
     }
 
-    fn independent(&mut self, a: &Item, b: &Item) -> bool {
+    fn independent(&self, a: &Item, b: &Item) -> bool {
         let (mut reads_a, mut writes_a) = (BTreeSet::new(), BTreeSet::new());
         let (mut reads_b, mut writes_b) = (BTreeSet::new(), BTreeSet::new());
         Verifier::var_rw(a, &mut reads_a, &mut writes_a);
@@ -359,7 +355,7 @@ impl<'a> Verifier<'a> {
     /// The order side conditions over one matched scope: each role's item
     /// order is preserved up to independent reorderings, and a later pass
     /// never runs a conflicting action before an earlier pass.
-    fn check_ordering(&mut self, scope: &Scope, claims: &Claims) -> Result<(), String> {
+    fn check_ordering(&self, scope: &Scope, claims: &Claims) -> Result<(), String> {
         // Per role: (role item index, fused position).
         let mut per_role: Vec<Vec<(usize, usize)>> = vec![Vec::new(); scope.roles.len()];
         for (pos, list) in claims.iter().enumerate() {
@@ -378,9 +374,9 @@ impl<'a> Verifier<'a> {
                     if first_pos <= second_pos {
                         continue;
                     }
-                    let a = scope.roles[role][first].clone();
-                    let b = scope.roles[role][second].clone();
-                    if !self.independent(&a, &b) {
+                    let a = &scope.roles[role][first];
+                    let b = &scope.roles[role][second];
+                    if !self.independent(a, b) {
                         return Err(format!("pass {role} items reordered without independence"));
                     }
                 }
@@ -395,9 +391,9 @@ impl<'a> Verifier<'a> {
                             // entry preserves the pass order inside it.
                             continue;
                         }
-                        let a = scope.roles[early][item_e].clone();
-                        let b = scope.roles[late][item_l].clone();
-                        if self.field_conflict(&a, &b) && pos_e > pos_l {
+                        let a = &scope.roles[early][item_e];
+                        let b = &scope.roles[late][item_l];
+                        if self.field_conflict(a, b) && pos_e > pos_l {
                             return Err(format!(
                                 "pass {late} overtakes a conflicting action of pass {early}"
                             ));

@@ -10,25 +10,23 @@
 //! ([`retreet_mso::encode::Region`]), and any dynamically parallel pair of
 //! iterations descends from a statically [`Relation::Parallel`] block pair
 //! at a common invocation node.  Checking every parallel pair's guarded
-//! regions for overlap — an NFTA emptiness question — yields an unbounded
-//! `RaceFree` verdict when all of them are disjoint.
+//! regions for overlap ([`retreet_mso::encode::check_overlap_k`], an exact
+//! case analysis) yields an unbounded `RaceFree` verdict when all of them
+//! are disjoint.
 //!
 //! Arithmetic guards over execution-invariant values (never-written fields)
 //! are additionally bridged to [`retreet_logic::bridge::ConjunctionBuilder`]
 //! so contradictory guard pairs discharge candidates the structural check
 //! alone cannot.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use retreet_lang::ast::{AExpr, BExpr, Ident, NodeRef, Program};
 use retreet_lang::blocks::{BlockId, BlockTable, PathElem, Relation};
 use retreet_lang::rw::rw_sets_of_block;
 use retreet_logic::bridge::ConjunctionBuilder;
 use retreet_logic::LinExpr;
-use retreet_mso::encode::{
-    check_overlap_k, ChildStep, ConflictSide, OverlapVerdict, Region, StructConstraint,
-};
-use retreet_mso::tree::LabeledTree;
+use retreet_mso::encode::{check_overlap_k, ChildStep, ConflictSide, Region, StructConstraint};
 
 /// Maps a surface-language node reference to its encoding step.
 pub fn step_of(node: NodeRef) -> ChildStep {
@@ -308,9 +306,6 @@ pub enum StructuralRaceAnalysis {
     Candidate {
         /// Human-readable description of the first overlapping pair.
         description: String,
-        /// A tree shape witnessing the region overlap, when extraction
-        /// succeeded (labels are encoding bits, not program data).
-        example: Option<LabeledTree>,
     },
 }
 
@@ -339,7 +334,6 @@ pub fn structural_race_analysis(program: &Program) -> StructuralRaceAnalysis {
         .iter()
         .flat_map(|&f| summaries[f].writes.iter().cloned())
         .collect();
-    let mut overlap_memo: BTreeMap<(ConflictSide, ConflictSide), OverlapVerdict> = BTreeMap::new();
     let mut pairs_examined = 0usize;
 
     for &func in &reachable {
@@ -378,11 +372,7 @@ pub fn structural_race_analysis(program: &Program) -> StructuralRaceAnalysis {
                                     region: site_b.region,
                                     guard: guard_b.constraint,
                                 };
-                                let verdict =
-                                    overlap_memo.entry((side_a, side_b)).or_insert_with(|| {
-                                        check_overlap_k(&side_a, &side_b, program.arity)
-                                    });
-                                if let OverlapVerdict::Overlap(example) = verdict {
+                                if !check_overlap_k(&side_a, &side_b, program.arity).is_disjoint() {
                                     let description = format!(
                                         "{} and {} may both touch field `{}` ({:?} vs {:?})",
                                         table.info(first).label,
@@ -391,10 +381,7 @@ pub fn structural_race_analysis(program: &Program) -> StructuralRaceAnalysis {
                                         site_a.region,
                                         site_b.region,
                                     );
-                                    return StructuralRaceAnalysis::Candidate {
-                                        description,
-                                        example: example.clone(),
-                                    };
+                                    return StructuralRaceAnalysis::Candidate { description };
                                 }
                             }
                         }

@@ -11,9 +11,13 @@
 //! measured separately by the `perf_portfolio` bench).
 //!
 //! Absolute times are not comparable to the paper's MONA runtimes (different
-//! decision procedure, different hardware); what must match is every verdict
-//! and the relative difficulty ordering (cycletree fusion ≫ CSS fusion ≫ the
-//! small cases; race queries cheaper than equivalence queries).
+//! decision procedure, different hardware), and neither is their order: the
+//! paper's cycletree ≫ CSS ≫ small-case ordering measured MONA's work,
+//! while here every fusion certificate is a correspondence proof of a few
+//! entries.  What must match is every verdict; the deterministic trace of
+//! difficulty is the proof size (the cycletree fusion needs more
+//! correspondence entries than size counting, pinned exactly by the
+//! evaluation tests).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -670,10 +674,10 @@ pub fn render_engine_perf(rows: &[EnginePerfRow]) -> String {
 }
 
 /// Serializes the full engine-performance report (one section per budget)
-/// to the `BENCH_engines.json` document.  See `crates/README.md` for the
-/// format description.
+/// to the `BENCH_engines.json` document (schema
+/// `retreet-bench-engines/v2`; format in `crates/README.md`).
 pub fn engine_perf_to_json(sections: &[(&str, &Budget, Vec<EnginePerfRow>)]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"retreet-bench-engines/v1\",\n");
+    let mut out = String::from("{\n  \"schema\": \"retreet-bench-engines/v2\",\n");
     out.push_str(
         "  \"methodology\": \"best-of-batches wall-clock per full query; verdict cache \
          disabled; naive = seed engine algorithms (retreet_analysis::naive; shares the \
@@ -1687,6 +1691,26 @@ mod tests {
         let json = codegen_report_to_json("quick", 6, &rows, &certs);
         assert!(json.contains("\"schema\": \"retreet-bench-codegen/v1\""));
         assert!(json.contains("\"lowering_certificates\""));
+    }
+
+    #[test]
+    fn engine_report_serializes_with_the_versioned_schema() {
+        let row = EnginePerfRow {
+            id: "E1a",
+            description: "size counting",
+            kind: "equivalence",
+            verdict: Verdict::Valid,
+            expected: Verdict::Valid,
+            engine: "automata",
+            soundness: "unbounded".into(),
+            verdicts_agree: true,
+            naive_seconds: 0.004,
+            optimized_seconds: 0.001,
+        };
+        let json = engine_perf_to_json(&[("quick", &Budget::quick(), vec![row])]);
+        assert!(json.contains("\"schema\": \"retreet-bench-engines/v2\""));
+        assert!(json.contains("\"soundness\": \"unbounded\""));
+        assert!(json.contains("\"speedup\": 4.00"));
     }
 
     #[test]

@@ -18,12 +18,28 @@
 //! different locks instead of one global one; the hit/miss/collision
 //! counters are lock-free atomics aggregated across shards by
 //! [`VerdictCache::stats`].
+//!
+//! # Shared subjects
+//!
+//! Each entry owns its query's subjects for the collision guard, and the
+//! same program recurs across entries: a race query, the equivalence
+//! queries that take it as original and the transformed programs' own race
+//! queries.  A table of the resident programs, keyed by structural hash and
+//! confirmed by `==`, lets every entry over an equal program hold the same
+//! `Arc`.  A cache miss takes its owned copy from the table when it can, an
+//! insert swaps in the resident copy of any program that became resident
+//! after the miss, and a program leaves the table with the last entry that
+//! holds it, so the table never outlives what the entries keep.
 
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
+
+use retreet_lang::ast::Program;
 
 use crate::persist::VerdictStore;
 use crate::query::{OwnedQuery, Query, QueryKind};
@@ -70,6 +86,9 @@ pub(crate) struct VerdictCache {
     hits: AtomicU64,
     misses: AtomicU64,
     collisions: AtomicU64,
+    /// The programs the resident entries hold, shared across shards.  Lock
+    /// order: a shard's lock, then this one.
+    programs: Mutex<ProgramTable>,
     /// Disk write-through layer, when persistence is enabled.  Attached
     /// *after* warm-loading the persisted entries, so the load itself does
     /// not re-append every verdict to the log it just came from.
@@ -85,6 +104,96 @@ struct Shard {
 struct CacheState {
     map: HashMap<CacheKey, (Arc<OwnedQuery>, Verdict)>,
     insertion_order: VecDeque<CacheKey>,
+}
+
+/// The distinct programs held by resident entries, each with the number of
+/// entry slots (an equivalence holds two) referring to it.
+#[derive(Default)]
+struct ProgramTable {
+    slots: HashMap<u64, (Arc<Program>, usize)>,
+}
+
+fn program_hash(program: &Program) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    program.hash(&mut hasher);
+    hasher.finish()
+}
+
+impl ProgramTable {
+    /// The resident copy of a program equal to `program`, if any.
+    fn find(&self, program: &Program) -> Option<Arc<Program>> {
+        self.slots
+            .get(&program_hash(program))
+            .filter(|(resident, _)| **resident == *program)
+            .map(|(resident, _)| Arc::clone(resident))
+    }
+
+    /// Counts one more reference to `program` and returns the copy the
+    /// entry should hold: the resident one when an equal program is
+    /// resident.  On a 64-bit hash collision between unequal programs the
+    /// newcomer simply keeps its own, unshared copy.
+    fn hold(&mut self, program: &Arc<Program>) -> Arc<Program> {
+        match self.slots.entry(program_hash(program)) {
+            Entry::Occupied(mut slot) => {
+                let (resident, refs) = slot.get_mut();
+                if Arc::ptr_eq(resident, program) || **resident == **program {
+                    *refs += 1;
+                    Arc::clone(resident)
+                } else {
+                    Arc::clone(program)
+                }
+            }
+            Entry::Vacant(slot) => {
+                slot.insert((Arc::clone(program), 1));
+                Arc::clone(program)
+            }
+        }
+    }
+
+    /// Counts one reference to `program` fewer, dropping its slot with the
+    /// last one.  A copy the table never held (see [`Self::hold`]) is
+    /// ignored.
+    fn release(&mut self, program: &Arc<Program>) {
+        if let Entry::Occupied(mut slot) = self.slots.entry(program_hash(program)) {
+            let (resident, refs) = slot.get_mut();
+            if Arc::ptr_eq(resident, program) {
+                *refs -= 1;
+                if *refs == 0 {
+                    slot.remove();
+                }
+            }
+        }
+    }
+
+    /// Holds every program of an entry's subjects, returning the subjects
+    /// the entry should store: `subjects` itself, or a copy pointing at the
+    /// resident programs when an equal one became resident after the miss
+    /// that built `subjects`.
+    fn hold_subjects(&mut self, subjects: Arc<OwnedQuery>) -> Arc<OwnedQuery> {
+        let held: Vec<Arc<Program>> = subjects
+            .programs()
+            .map(|program| self.hold(program))
+            .collect();
+        if held
+            .iter()
+            .zip(subjects.programs())
+            .all(|(held, program)| Arc::ptr_eq(held, program))
+        {
+            return subjects;
+        }
+        let mut held = held.into_iter();
+        Arc::new(
+            subjects
+                .as_query()
+                .to_owned_query_with(|_| held.next().expect("one held copy per program")),
+        )
+    }
+
+    fn release_subjects(&mut self, subjects: &OwnedQuery) {
+        for program in subjects.programs() {
+            self.release(program);
+        }
+    }
 }
 
 impl VerdictCache {
@@ -114,8 +223,22 @@ impl VerdictCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             collisions: AtomicU64::new(0),
+            programs: Mutex::new(ProgramTable::default()),
             store: None,
         }
+    }
+
+    fn programs(&self) -> std::sync::MutexGuard<'_, ProgramTable> {
+        self.programs.lock().expect("program table poisoned")
+    }
+
+    /// An owned copy of `query`'s subjects for a cache miss, sharing every
+    /// program a resident entry already holds instead of cloning it.
+    pub(crate) fn owned_query(&self, query: &Query<'_>) -> OwnedQuery {
+        query.to_owned_query_with(|program| {
+            let resident = self.programs().find(program);
+            resident.unwrap_or_else(|| Arc::new(program.clone()))
+        })
     }
 
     /// Attaches the persistent write-through layer (called once at build,
@@ -190,13 +313,16 @@ impl VerdictCache {
     }
 
     /// Stores a verdict with its owning subjects, evicting the shard's
-    /// oldest entry when the shard is full.
+    /// oldest entry when the shard is full.  A new entry holds the resident
+    /// copy of each of its programs (see the module docs); an evicted one
+    /// releases its programs.
     ///
-    /// A resident entry under the same key is only replaced when its
-    /// subjects equal the new entry's (a refresh) *and* the incoming
-    /// verdict's soundness [`covers`](crate::verdict::Soundness::covers) the
-    /// resident one's: an unbounded answer upgrades a bounded entry in
-    /// place, but a bounded re-run never downgrades a resident unbounded
+    /// A resident entry under the same key is only refreshed when its
+    /// subjects equal the new entry's *and* the incoming verdict's soundness
+    /// [`covers`](crate::verdict::Soundness::covers) the resident one's (the
+    /// entry keeps its subjects and takes the new verdict): an unbounded
+    /// answer upgrades a bounded entry in place, but a bounded re-run never
+    /// downgrades a resident unbounded
     /// (or wider-bounded) verdict.  When the subjects *differ* — a 128-bit
     /// key collision — the resident entry is kept and the event is counted
     /// in [`CacheStats::collisions`]: replacing it would make the two
@@ -212,8 +338,9 @@ impl VerdictCache {
         }
         let shard = self.shard(&key);
         {
-            let mut state = shard.state.lock().expect("verdict cache poisoned");
-            match state.map.get(&key) {
+            let mut guard = shard.state.lock().expect("verdict cache poisoned");
+            let state = &mut *guard;
+            match state.map.get_mut(&key) {
                 Some((resident, _)) if !resident.matches(&subjects.as_query()) => {
                     self.collisions.fetch_add(1, Ordering::Relaxed);
                     return;
@@ -222,23 +349,40 @@ impl VerdictCache {
                     // The resident verdict is strictly stronger; keep it.
                     return;
                 }
-                Some(_) => {}
+                Some((_, resident)) => *resident = verdict.clone(),
                 None => {
-                    if state.map.len() >= shard.capacity {
-                        if let Some(oldest) = state.insertion_order.pop_front() {
-                            state.map.remove(&oldest);
-                        }
-                    }
+                    let evicted = if state.map.len() >= shard.capacity {
+                        state
+                            .insertion_order
+                            .pop_front()
+                            .and_then(|oldest| state.map.remove(&oldest))
+                    } else {
+                        None
+                    };
                     state.insertion_order.push_back(key);
+                    let mut programs = self.programs();
+                    if let Some((evicted, _)) = evicted {
+                        programs.release_subjects(&evicted);
+                    }
+                    let held = programs.hold_subjects(Arc::clone(&subjects));
+                    state.map.insert(key, (held, verdict.clone()));
                 }
             }
-            state
-                .map
-                .insert(key, (Arc::clone(&subjects), verdict.clone()));
         }
         if let Some(store) = &self.store {
             store.write_through(&key, &subjects, &verdict);
         }
+    }
+
+    /// The subjects a resident entry holds.
+    #[cfg(test)]
+    pub(crate) fn resident_subjects(&self, key: &CacheKey) -> Option<Arc<OwnedQuery>> {
+        let state = self
+            .shard(key)
+            .state
+            .lock()
+            .expect("verdict cache poisoned");
+        state.map.get(key).map(|(subjects, _)| Arc::clone(subjects))
     }
 
     /// Current hit/miss/collision/entry counters, aggregated over shards.
@@ -267,6 +411,10 @@ impl VerdictCache {
     pub(crate) fn clear(&self) {
         for shard in &self.shards {
             let mut state = shard.state.lock().expect("verdict cache poisoned");
+            let mut programs = self.programs();
+            for (subjects, _) in state.map.values() {
+                programs.release_subjects(subjects);
+            }
             state.map.clear();
             state.insertion_order.clear();
         }
@@ -278,6 +426,7 @@ mod tests {
     use super::*;
     use crate::engine::Engine;
     use crate::verdict::{Outcome, Soundness};
+    use retreet_lang::corpus;
     use retreet_mso::formula::Formula;
     use std::time::Duration;
 
@@ -529,5 +678,116 @@ mod tests {
         for n in 0..64 {
             assert!(cache.get(&key(n), &query()).is_some(), "key {n} resident");
         }
+    }
+
+    /// The programs of a resident entry, in subject order.
+    fn resident_programs(cache: &VerdictCache, key: &CacheKey) -> Vec<Arc<Program>> {
+        let subjects = cache.resident_subjects(key).expect("entry resident");
+        subjects.programs().cloned().collect()
+    }
+
+    fn table_refs(cache: &VerdictCache, program: &Program) -> Option<usize> {
+        let programs = cache.programs();
+        let (_, refs) = programs.slots.get(&program_hash(program))?;
+        Some(*refs)
+    }
+
+    #[test]
+    fn entries_over_equal_programs_share_one_allocation() {
+        let cache = VerdictCache::new(64);
+        let program = corpus::size_counting_parallel();
+        let fused = corpus::size_counting_fused();
+        let race = cache.owned_query(&Query::DataRace(&program));
+        cache.insert(key(1), Arc::new(race), verdict(1));
+        // A miss over an equal (separately allocated) program takes the
+        // resident copy instead of cloning its own.
+        let copy = program.clone();
+        let equivalence = cache.owned_query(&Query::Equivalence(&copy, &fused));
+        let resident = resident_programs(&cache, &key(1));
+        assert!(Arc::ptr_eq(
+            equivalence.programs().next().unwrap(),
+            &resident[0]
+        ));
+        cache.insert(key(2), Arc::new(equivalence), verdict(2));
+        // Subjects built without the table (a replayed store entry, or an
+        // equal program that became resident after the miss) are swapped
+        // for the resident copy on insert.
+        let late = OwnedQuery::Equivalence(Arc::new(fused.clone()), Arc::new(program.clone()));
+        cache.insert(key(3), Arc::new(late), verdict(3));
+
+        let race = resident_programs(&cache, &key(1));
+        let equivalence = resident_programs(&cache, &key(2));
+        let late = resident_programs(&cache, &key(3));
+        assert!(Arc::ptr_eq(&race[0], &equivalence[0]));
+        assert!(Arc::ptr_eq(&race[0], &late[1]));
+        assert!(Arc::ptr_eq(&equivalence[1], &late[0]));
+        assert_eq!(table_refs(&cache, &program), Some(3));
+        assert_eq!(table_refs(&cache, &fused), Some(2));
+        assert_eq!(cache.programs().slots.len(), 2);
+        // The swapped-in subjects still answer their own query.
+        assert!(cache
+            .get(&key(3), &Query::Equivalence(&fused, &program))
+            .is_some());
+    }
+
+    #[test]
+    fn unequal_programs_never_share() {
+        let cache = VerdictCache::new(64);
+        let program = corpus::size_counting_parallel();
+        let fused = corpus::size_counting_fused();
+        cache.insert(
+            key(1),
+            Arc::new(cache.owned_query(&Query::DataRace(&program))),
+            verdict(1),
+        );
+        let other = cache.owned_query(&Query::DataRace(&fused));
+        let resident = resident_programs(&cache, &key(1));
+        assert!(!Arc::ptr_eq(&resident[0], other.programs().next().unwrap()));
+        cache.insert(key(2), Arc::new(other), verdict(2));
+        let (first, second) = (
+            resident_programs(&cache, &key(1)),
+            resident_programs(&cache, &key(2)),
+        );
+        assert!(!Arc::ptr_eq(&first[0], &second[0]));
+        assert_eq!(*first[0], program);
+        assert_eq!(*second[0], fused);
+        assert_eq!(table_refs(&cache, &program), Some(1));
+        assert_eq!(table_refs(&cache, &fused), Some(1));
+    }
+
+    #[test]
+    fn evicting_the_last_holder_frees_the_slot() {
+        // One global-FIFO shard of two entries.
+        let cache = VerdictCache::new(2);
+        let program = corpus::size_counting_parallel();
+        let fused = corpus::size_counting_fused();
+        cache.insert(
+            key(1),
+            Arc::new(cache.owned_query(&Query::DataRace(&program))),
+            verdict(1),
+        );
+        cache.insert(
+            key(2),
+            Arc::new(cache.owned_query(&Query::Equivalence(&program, &fused))),
+            verdict(2),
+        );
+        let shared = Arc::clone(&resident_programs(&cache, &key(1))[0]);
+        assert_eq!(table_refs(&cache, &program), Some(2));
+        // Evicting the race entry leaves the equivalence holding the program.
+        cache.insert(key(3), subjects(), verdict(3));
+        assert_eq!(table_refs(&cache, &program), Some(1));
+        assert_eq!(table_refs(&cache, &fused), Some(1));
+        // Evicting the last holder drops both slots: nothing but this test
+        // keeps the program alive, and a new miss clones afresh.
+        cache.insert(key(4), subjects(), verdict(4));
+        assert!(cache.programs().slots.is_empty());
+        assert_eq!(Arc::strong_count(&shared), 1);
+        let fresh = cache.owned_query(&Query::DataRace(&program));
+        assert!(!Arc::ptr_eq(fresh.programs().next().unwrap(), &shared));
+        // Clearing releases every entry's programs too.
+        cache.insert(key(5), Arc::new(fresh), verdict(5));
+        assert_eq!(table_refs(&cache, &program), Some(1));
+        cache.clear();
+        assert!(cache.programs().slots.is_empty());
     }
 }

@@ -738,13 +738,14 @@ impl Verifier {
         if let Some(cached) = self.cache.get(&key, &query) {
             return Ok(cached);
         }
-        // The owned subjects are cloned *before* taking the in-flight lock:
+        // The owned subjects are built *before* taking the in-flight lock:
         // an O(program) clone inside that critical section would serialize
         // every cache-missing query across all serving threads on one
-        // mutex.  The Arc is shared by the flight, the cache entry and the
-        // parallel portfolio's workers; only the (rare) coalesced and
-        // collision paths clone it for nothing.
-        let owned = Arc::new(query.to_owned_query());
+        // mutex.  Programs an equal resident entry already holds are shared
+        // rather than cloned.  The Arc is shared by the flight, the cache
+        // entry and the parallel portfolio's workers; only the (rare)
+        // coalesced and collision paths build it for nothing.
+        let owned = Arc::new(self.cache.owned_query(&query));
         enum Role {
             Lead(Arc<Flight>),
             Wait(Arc<Flight>),
@@ -1745,6 +1746,53 @@ mod tests {
             0,
             "no engine ran after the restart"
         );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn cached_and_replayed_entries_share_their_programs() {
+        let path = temp_store_path("shared");
+        let program = corpus::size_counting_sequential();
+        let fused = corpus::size_counting_fused();
+        let build = || {
+            Verifier::builder()
+                .max_nodes(3)
+                .valuations(1)
+                .persist(&path)
+                .build()
+        };
+        let shared_original = |verifier: &Verifier| {
+            let race = Query::DataRace(&program).cache_key(&verifier.config);
+            let equivalence = Query::Equivalence(&program, &fused).cache_key(&verifier.config);
+            let first = verifier
+                .cache
+                .resident_subjects(&race)
+                .expect("race cached");
+            let second = verifier
+                .cache
+                .resident_subjects(&equivalence)
+                .expect("equivalence cached");
+            let (first, second) = (
+                first.programs().next().unwrap().clone(),
+                second.programs().next().unwrap().clone(),
+            );
+            Arc::ptr_eq(&first, &second)
+        };
+        {
+            let verifier = build();
+            verifier.verify(Query::DataRace(&program)).unwrap();
+            verifier
+                .verify(Query::Equivalence(&program.clone(), &fused))
+                .unwrap();
+            assert!(
+                shared_original(&verifier),
+                "a miss reuses the resident copy"
+            );
+            verifier.flush_store();
+        }
+        let verifier = build();
+        assert_eq!(verifier.store_stats().unwrap().loaded, 2);
+        assert!(shared_original(&verifier), "replayed entries share too");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -569,8 +569,10 @@ fn read_subjects(r: &mut Reader<'_>, kind: QueryKind) -> Result<OwnedQuery, Stri
         parse_program(&source).map_err(|e| format!("persisted program fails to parse: {e}"))
     };
     Ok(match kind {
-        QueryKind::DataRace => OwnedQuery::DataRace(parse(r.str()?)?),
-        QueryKind::Equivalence => OwnedQuery::Equivalence(parse(r.str()?)?, parse(r.str()?)?),
+        QueryKind::DataRace => OwnedQuery::DataRace(Arc::new(parse(r.str()?)?)),
+        QueryKind::Equivalence => {
+            OwnedQuery::Equivalence(Arc::new(parse(r.str()?)?), Arc::new(parse(r.str()?)?))
+        }
         QueryKind::Validity => OwnedQuery::Validity(read_formula(r, 0)?),
     })
 }
@@ -828,7 +830,7 @@ mod tests {
 
     #[test]
     fn full_entries_roundtrip_for_every_outcome_shape() {
-        let program = corpus::size_counting_parallel();
+        let program = Arc::new(corpus::size_counting_parallel());
         let entries: Vec<(OwnedQuery, Outcome)> = vec![
             (
                 OwnedQuery::DataRace(program.clone()),
@@ -848,7 +850,7 @@ mod tests {
                 })),
             ),
             (
-                OwnedQuery::Equivalence(program.clone(), corpus::size_counting_fused()),
+                OwnedQuery::Equivalence(program.clone(), Arc::new(corpus::size_counting_fused())),
                 Outcome::NotEquivalent(Box::new(EquivCounterExample {
                     tree: sample_value_tree(),
                     disagreement: Disagreement::Returns {

@@ -8,6 +8,7 @@
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use retreet_lang::ast::Program;
 use retreet_mso::formula::Formula;
@@ -65,10 +66,19 @@ impl Query<'_> {
     /// key hits by full subject equality, and by the parallel portfolio so
     /// worker threads can outlive the caller's borrow).
     pub(crate) fn to_owned_query(self) -> OwnedQuery {
+        self.to_owned_query_with(|program| Arc::new(program.clone()))
+    }
+
+    /// Like [`Self::to_owned_query`], taking each program from `share` (the
+    /// verdict cache passes a resident copy when it holds an equal one).
+    pub(crate) fn to_owned_query_with(
+        self,
+        mut share: impl FnMut(&Program) -> Arc<Program>,
+    ) -> OwnedQuery {
         match self {
-            Query::DataRace(p) => OwnedQuery::DataRace((*p).clone()),
-            Query::Equivalence(a, b) => OwnedQuery::Equivalence((*a).clone(), (*b).clone()),
-            Query::Validity(f) => OwnedQuery::Validity((*f).clone()),
+            Query::DataRace(p) => OwnedQuery::DataRace(share(p)),
+            Query::Equivalence(a, b) => OwnedQuery::Equivalence(share(a), share(b)),
+            Query::Validity(f) => OwnedQuery::Validity(f.clone()),
         }
     }
 
@@ -107,12 +117,13 @@ impl Query<'_> {
     }
 }
 
-/// An owned copy of a [`Query`]'s subjects.
+/// An owned copy of a [`Query`]'s subjects.  Programs sit behind an `Arc`
+/// so that every cache entry over an equal program can share one copy.
 pub(crate) enum OwnedQuery {
     /// Owned [`Query::DataRace`].
-    DataRace(Program),
+    DataRace(Arc<Program>),
     /// Owned [`Query::Equivalence`].
-    Equivalence(Program, Program),
+    Equivalence(Arc<Program>, Arc<Program>),
     /// Owned [`Query::Validity`].
     Validity(Formula),
 }
@@ -132,10 +143,21 @@ impl OwnedQuery {
     /// proof the queries are the same).
     pub(crate) fn matches(&self, query: &Query<'_>) -> bool {
         match (self, query) {
-            (OwnedQuery::DataRace(p), Query::DataRace(q)) => p == *q,
-            (OwnedQuery::Equivalence(a, b), Query::Equivalence(c, d)) => a == *c && b == *d,
+            (OwnedQuery::DataRace(p), Query::DataRace(q)) => **p == **q,
+            (OwnedQuery::Equivalence(a, b), Query::Equivalence(c, d)) => **a == **c && **b == **d,
             (OwnedQuery::Validity(f), Query::Validity(g)) => f == *g,
             _ => false,
         }
+    }
+
+    /// The subject programs: none for a validity query, the original before
+    /// the transformed one for an equivalence.
+    pub(crate) fn programs(&self) -> impl Iterator<Item = &Arc<Program>> {
+        let (first, second) = match self {
+            OwnedQuery::DataRace(p) => (Some(p), None),
+            OwnedQuery::Equivalence(a, b) => (Some(a), Some(b)),
+            OwnedQuery::Validity(_) => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 }

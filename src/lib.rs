@@ -106,7 +106,10 @@
 //! | `NodeSel::{Cur, Left, Right}` in bytecode | `NodeSel::{Cur, Child(ChildAxis)}` — child selectors carry the axis |
 //! | `IterativeLowering { pre, mid, post, .. }` (three fixed segments) | `IterativeLowering { axes, call_results, segments, .. }` — `axes.len() + 1` straight-line segments, one per gap around the recursive calls, at any arity |
 //! | `FlatTree` with `left` / `right` index arrays | `FlatTree::from_value_tree_kary(&tree, &fields, arity)` — one `u32` child column per axis (`from_value_tree` remains the binary shorthand) |
-//! | `retreet_mso::encode::check_overlap(&a, &b)` / `guards_equivalent(&a, &b)` | `check_overlap_k(&a, &b, arity)` / `guards_equivalent_k(&a, &b, arity)` — the binary names remain as arity-2 shorthands; above arity 2 the overlap/equivalence question is decided by the direct region case analysis (the slotted binarization stays the documented semantics) |
+//! | `retreet_mso::encode::check_overlap(&a, &b)` / `guards_equivalent(&a, &b)` | **removed**: `check_overlap_k(&a, &b, 2)` / `guards_equivalent_k(&a, &b, 2)`.  Every arity, binary included, is decided by the direct region case analysis and the propositional check over the `2^k` child-nil patterns; no region or guard question compiles an automaton any more |
+//! | `retreet_mso::encode::overlap_formula(&a, &b)` / `overlap_formula_k(&a, &b, arity)` | **removed** from the public API; the MSO formula builders live on only as the encoder's test oracle.  `retreet_mso::compile` / `is_valid` stay public for `Query::Validity` |
+//! | `OverlapVerdict::Overlap(Option<LabeledTree>)` | `OverlapVerdict::Overlap` — no example tree (it was an encoding-level shape, never a program witness) |
+//! | `StructuralRaceAnalysis::Candidate { description, example }` | `Candidate { description }`; race witnesses come from the delegated bounded search as before |
 //! | `TreeCorpus::new(max_nodes, &fields, valuations)` (binary only) | `TreeCorpus::with_arity(arity, max_nodes, &fields, valuations)` — k-ary shape enumeration; `ValueTree::complete_kary(arity, height, &fields, init)` builds complete k-ary measurement trees |
 //! | `run` / `tune` service requests pinned to binary trees | both accept an optional `"arity"` field (2 ≤ arity ≤ 8, at least the program's declared arity; out-of-range answers a typed `bad_request`); `TuneOptions` gains `tree_arity` |
 //! | `ValueTree::complete_kary(arity, height, &fields, \|_, _\| 0)` + `fill_fields(&fields, seed)` + `executor.run(&tree)` when only `returns` are needed | `executor.run_complete(arity, height, seed)` → `CompleteRun { returns, nodes, tier }`: the VM tier builds the seeded tree straight into a `FlatTree` (`FlatTree::complete_kary`, same numbering and the same `vtree::field_values` stream), with no `ValueTree` built, flattened or written back; the interpreter tier still builds the `ValueTree` |
@@ -117,7 +120,7 @@
 //! `cargo run --release -p retreet-bench --bin bench_engines` writes
 //! `BENCH_engines.json` at the repository root: every §5 experiment timed
 //! through both the frozen naive engines and the optimized portfolio under
-//! the quick and the full budget (schema `retreet-bench-engines/v1`; format
+//! the quick and the full budget (schema `retreet-bench-engines/v2`; format
 //! documented in `crates/README.md`).  CI's perf-smoke job runs the quick
 //! budget with a generous wall-clock ceiling to catch accidental
 //! exponential regressions.
