@@ -23,9 +23,11 @@
 //! The process also fails when any experiment's verdict disagrees with the
 //! paper or with the naive engine — a perf run that changes answers is a
 //! bug, not a speedup — and when any experiment's verdict *soundness*
-//! regresses from `unbounded`: every §5 experiment is answered by the
-//! automata tier with an unbounded guarantee, and a revision that silently
-//! drops one of them back to a bounded-budget answer must not pass.
+//! regresses from `unbounded`: every §5 experiment is answered with an
+//! unbounded guarantee (the automata tier proves the five positive ones;
+//! E1b's counterexample and E4b's race are witnesses from the trace and
+//! configuration engines), and a revision that silently drops one of them
+//! back to a bounded-budget answer must not pass.
 
 use retreet_bench::{engine_perf_to_json, measure_engine_perf, render_engine_perf, Budget};
 

@@ -26,7 +26,7 @@
 //! under every concurrency level — a serving layer that changes answers
 //! under load is a bug, not a throughput result.  A cold-burst phase
 //! additionally asserts single-flight coalescing: 8 threads issuing the
-//! same cold query must trigger exactly one engine run.
+//! same cold query must trigger exactly one portfolio dispatch.
 //!
 //! Schema v2 adds three robustness phases, each on a fresh service:
 //!
@@ -256,8 +256,13 @@ fn run_section(
     }
 }
 
+/// Engine runs in one sequential dispatch of the cold-burst query: the
+/// program races, so the automata engine skips the structural candidate
+/// and the configuration engine finds the witness.
+const COLD_BURST_DISPATCH_RUNS: u64 = 2;
+
 /// The cold-burst single-flight check: 8 threads issue the *same* cold
-/// query against a fresh service; exactly one engine run may happen, and
+/// query against a fresh service; exactly one dispatch may happen, and
 /// everyone must receive the same witness.
 fn cold_burst(options: &ServeOptions) -> Result<(usize, u64, u64), String> {
     const THREADS: usize = 8;
@@ -285,9 +290,10 @@ fn cold_burst(options: &ServeOptions) -> Result<(usize, u64, u64), String> {
         check_response(response, "race")?;
     }
     let serving = service.verifier().serving_stats();
-    if serving.engine_runs != 1 {
+    if serving.engine_runs != COLD_BURST_DISPATCH_RUNS {
         return Err(format!(
-            "cold burst ran the engine {} times; single-flight must run it once",
+            "cold burst ran {} engine runs; single-flight must dispatch once \
+             ({COLD_BURST_DISPATCH_RUNS} runs)",
             serving.engine_runs
         ));
     }
@@ -562,7 +568,8 @@ fn main() {
         }
     };
     println!(
-        "cold burst: {} threads, 1 engine run, {} coalesced, {} cache hits",
+        "cold burst: {} threads, 1 dispatch ({COLD_BURST_DISPATCH_RUNS} engine runs), \
+         {} coalesced, {} cache hits",
         burst.0, burst.1, burst.2
     );
 
@@ -619,7 +626,7 @@ fn main() {
          validity) against one shared Service; every response is checked against the \
          paper's verdict; latencies are per-request wall clock including JSON parse; the \
          cold burst issues one identical cold query from 8 threads and asserts exactly one \
-         engine run (single-flight); v2 adds three fresh-service robustness phases: shed \
+         dispatch (single-flight); v2 adds three fresh-service robustness phases: shed \
          rate under a full 1-slot cold queue with stalled engines, deadline-hit rate with \
          engines stalled past a 60ms per-query deadline, and the warm-hit rate after a \
          cold restart from the persisted verdict store (must be 1.0 with zero engine \
@@ -649,7 +656,7 @@ fn main() {
     out.push_str("  ],\n");
     out.push_str(&format!(
         "  \"scaling_8_over_1\": {scaling:.3},\n  \"cold_burst\": {{ \"threads\": {}, \
-         \"engine_runs\": 1, \"coalesced\": {}, \"cache_hits\": {} }},\n",
+         \"engine_runs\": {COLD_BURST_DISPATCH_RUNS}, \"coalesced\": {}, \"cache_hits\": {} }},\n",
         burst.0, burst.1, burst.2
     ));
     out.push_str(&format!(

@@ -13,10 +13,14 @@
 //! * [`Engine::Automata`] — the Thatcher–Wright compilation to tree
 //!   automata, *unbounded* on the fragment it covers (all three query
 //!   kinds: validity directly, races via the structural access-summary
-//!   analysis, equivalence via the fusion-correspondence matcher — each
-//!   delegating to a bounded witness search when outside its fragment),
+//!   analysis, equivalence via the fusion-correspondence matcher),
 //! * [`Engine::BoundedEnumeration`] — exhaustive model enumeration up to a
 //!   node bound (validity queries).
+//!
+//! Each bounded search has one owner.  The automata engine answers race
+//! and equivalence queries only when it proves them (`RaceFree`,
+//! `Equivalent`) and otherwise skips, so a race witness always comes from
+//! [`Engine::Configuration`] and a counterexample from [`Engine::Trace`].
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -47,10 +51,10 @@ pub enum Engine {
     Trace,
     /// The unbounded tree-automata engine — the reproduction's stand-in
     /// for MONA.  Answers validity queries on the core fragment directly,
-    /// race queries through the structural access-summary analysis, and
-    /// equivalence queries through the fusion-correspondence matcher; when
-    /// a query falls outside the decidable fragment it either delegates to
-    /// a bounded witness search (negative answers stay unbounded) or skips.
+    /// proves race-freedom through the structural access-summary analysis
+    /// and equivalence through the fusion-correspondence matcher.  A race
+    /// or equivalence query it cannot prove is skipped, never searched: the
+    /// bounded engines own those searches and their witnesses.
     Automata,
     /// Bounded validity by exhaustive model enumeration.
     BoundedEnumeration,
@@ -238,52 +242,30 @@ fn run_engine_inner(
                     },
                     Soundness::Unbounded,
                 )),
-                // A candidate pair survived the structural analysis: hand
-                // the program to the bounded search for a concrete witness.
-                // A found race is definitive (hence unbounded); a bounded
-                // all-clear is *not* an automata-grade answer, so skip and
-                // let the bounded engines claim it at their own soundness.
-                StructuralRaceAnalysis::Candidate { description, .. } => {
-                    match check_data_race_cancellable(program, &config.race_options(), cancel) {
-                        Some(RaceVerdict::Race(witness)) => {
-                            answer((Outcome::Race(Box::new(witness)), Soundness::Unbounded))
-                        }
-                        Some(RaceVerdict::RaceFree { .. }) => skip(
-                            engine,
-                            format!("structural candidate not discharged: {description}"),
-                        ),
-                        None => EngineAnswer::Cancelled,
-                    }
-                }
+                // A candidate pair survived the structural analysis.  The
+                // bounded witness search belongs to `Engine::Configuration`,
+                // so decline and let it answer at its own soundness.
+                StructuralRaceAnalysis::Candidate { description, .. } => skip(
+                    engine,
+                    format!("structural candidate not discharged: {description}"),
+                ),
             }
         }
         (Engine::Automata, Query::Equivalence(original, transformed)) => {
-            let fused_forward = check_fusion_correspondence(original, transformed);
-            let established = fused_forward.is_established()
-                || check_fusion_correspondence(transformed, original).is_established();
-            if established {
-                return answer((
+            if check_fusion_correspondence(original, transformed).is_established()
+                || check_fusion_correspondence(transformed, original).is_established()
+            {
+                answer((
                     Outcome::Equivalent { trees_checked: 0 },
                     Soundness::Unbounded,
-                ));
-            }
-            // No correspondence either way: search for a counterexample
-            // (definitive when found); a bounded agreement is left to the
-            // bounded engines.
-            match check_equivalence_cancellable(
-                original,
-                transformed,
-                &config.equiv_options(),
-                cancel,
-            ) {
-                Some(EquivVerdict::CounterExample(ce)) => {
-                    answer((Outcome::NotEquivalent(ce), Soundness::Unbounded))
-                }
-                Some(EquivVerdict::Equivalent { .. }) => skip(
+                ))
+            } else {
+                // No correspondence either way: the bounded counterexample
+                // search belongs to `Engine::Trace`.
+                skip(
                     engine,
                     "no fusion correspondence established in either direction",
-                ),
-                None => EngineAnswer::Cancelled,
+                )
             }
         }
         (Engine::Configuration, Query::DataRace(program)) => {

@@ -25,12 +25,17 @@
 //! Each query kind is answered by every applicable engine in the portfolio
 //! (see [`Engine`]): tree automata (unbounded, where the fragment allows)
 //! for all three kinds, configurations and traces for races, traces for
-//! equivalence, and bounded enumeration for validity.  With [`VerifierBuilder::parallel`]
-//! enabled, the applicable engines run concurrently on worker threads —
-//! but the verdict is always the one the *most authoritative* answering
-//! engine produces (dispatch order, unbounded engines first), identical in
-//! outcome **and witness** to the sequential portfolio's.  Losing engines
-//! are cooperatively cancelled as soon as the winner is decided.
+//! equivalence, and bounded enumeration for validity.  For races and
+//! equivalence the automata engine only proves the positive answer; a race
+//! witness comes from the configuration engine and a counterexample from
+//! the trace engine, each the one owner of its bounded search.
+//!
+//! With [`VerifierBuilder::parallel`] enabled, the applicable engines run
+//! concurrently on worker threads — but the verdict is always the one the
+//! *most authoritative* answering engine produces (dispatch order,
+//! unbounded engines first), identical in outcome **and witness** to the
+//! sequential portfolio's.  Losing engines are cooperatively cancelled as
+//! soon as the winner is decided.
 //!
 //! # The serving tier
 //!
@@ -1254,6 +1259,9 @@ mod tests {
         let witness = race.race_witness().expect("race witness");
         assert_eq!(witness.field, "num");
         assert_eq!(race.soundness, Soundness::Unbounded);
+        // The automata engine skips what it cannot prove; the witness comes
+        // from the engine that owns the bounded search.
+        assert_eq!(race.engine, Engine::Configuration);
 
         let equiv = verifier
             .verify(Query::Equivalence(
@@ -1262,6 +1270,8 @@ mod tests {
             ))
             .unwrap();
         assert!(equiv.counterexample().is_some());
+        assert_eq!(equiv.engine, Engine::Trace);
+        assert_eq!(equiv.soundness, Soundness::Unbounded);
     }
 
     #[test]

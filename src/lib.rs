@@ -83,8 +83,8 @@
 //! | per-query `BlockTable::build` + re-summarized paths | `retreet_analysis::AnalysisContext::for_program(&p)` — block table, field sets, lazy path summaries, solver cache and symbol table, memoized process-wide per program |
 //! | the seed (pre-optimization) engine behaviour | preserved verbatim in `retreet_analysis::naive` (differential tests and the `bench_engines` "before" column only) |
 //! | `CacheStats { hits, misses, entries }` | gains `collisions` (an insert that found a same-key, different-subjects resident; the resident entry is kept, never evicted by the collider, and the lookup side stays a plain miss so `hits + misses == lookups` always) — exhaustive-match constructors must add the field |
-//! | `Engine::Automata.supports(kind)` == `false` for `DataRace` / `Equivalence` | **now `true` for all three query kinds**: the automata engine answers races through the structural access-summary analysis and equivalence through the fusion-correspondence matcher, both at `Soundness::Unbounded`; code that assumed `verify_with_engine(Engine::Automata, Query::DataRace(..))` errors with `NoApplicableEngine` must handle a verdict (the engine still *skips* when a structural race candidate or a non-corresponding pair gets only a bounded all-clear from its delegate) |
-//! | asserting `verdict.engine == Engine::Trace` (or `trees_checked() > 0`) on §5 race/equivalence portfolio verdicts | the default portfolio now answers these with `Engine::Automata`, `Soundness::Unbounded`, and `trees_checked() == 0` (no model enumeration backs an unbounded answer); pin `.engines([Engine::Configuration])` / `[Engine::Trace]` to keep exercising the bounded tiers, or assert on `verdict.soundness` instead of the model count |
+//! | `Engine::Automata.supports(kind)` == `false` for `DataRace` / `Equivalence` | **now `true` for all three query kinds**: the automata engine proves race-freedom through the structural access-summary analysis and equivalence through the fusion-correspondence matcher, both at `Soundness::Unbounded`; code that assumed `verify_with_engine(Engine::Automata, Query::DataRace(..))` errors with `NoApplicableEngine` must handle a verdict (the engine still *skips* every race or equivalence query it cannot prove: a structural race candidate, a non-corresponding pair) |
+//! | asserting `verdict.engine == Engine::Trace` (or `trees_checked() > 0`) on §5 race/equivalence portfolio verdicts | the default portfolio now answers the positive ones with `Engine::Automata`, `Soundness::Unbounded`, and `trees_checked() == 0` (no model enumeration backs an unbounded answer; for the negative ones see the provenance row below); pin `.engines([Engine::Configuration])` / `[Engine::Trace]` to keep exercising the bounded tiers, or assert on `verdict.soundness` instead of the model count |
 //! | re-verifying to strengthen a cached bounded verdict | the cache upgrades in place: an unbounded verdict replaces a resident `BoundedUpTo` entry for the same key, and a bounded re-run never downgrades a resident unbounded (or wider-bounded) verdict — `Soundness::covers` is the replacement criterion |
 //! | `Verdict { outcome, engine, soundness, elapsed, cached }` | gains `coalesced: bool` (the verdict was adopted from an identical in-flight query's single engine run) |
 //! | `.parallel(true)` first-definitive-verdict-wins dispatch | **removed** (it could cache a bounded positive over a pending engine's unbounded refutation, nondeterministically): parallel dispatch now decides by *authority* — dispatch order, unbounded engines first — and verdict + witness are identical to sequential on every run; losing engines are cooperatively cancelled |
@@ -109,11 +109,12 @@
 //! | `retreet_mso::encode::check_overlap(&a, &b)` / `guards_equivalent(&a, &b)` | **removed**: `check_overlap_k(&a, &b, 2)` / `guards_equivalent_k(&a, &b, 2)`.  Every arity, binary included, is decided by the direct region case analysis and the propositional check over the `2^k` child-nil patterns; no region or guard question compiles an automaton any more |
 //! | `retreet_mso::encode::overlap_formula(&a, &b)` / `overlap_formula_k(&a, &b, arity)` | **removed** from the public API; the MSO formula builders live on only as the encoder's test oracle.  `retreet_mso::compile` / `is_valid` stay public for `Query::Validity` |
 //! | `OverlapVerdict::Overlap(Option<LabeledTree>)` | `OverlapVerdict::Overlap` — no example tree (it was an encoding-level shape, never a program witness) |
-//! | `StructuralRaceAnalysis::Candidate { description, example }` | `Candidate { description }`; race witnesses come from the delegated bounded search as before |
+//! | `StructuralRaceAnalysis::Candidate { description, example }` | `Candidate { description }`; race witnesses come from `Engine::Configuration`'s bounded search |
 //! | `TreeCorpus::new(max_nodes, &fields, valuations)` (binary only) | `TreeCorpus::with_arity(arity, max_nodes, &fields, valuations)` — k-ary shape enumeration; `ValueTree::complete_kary(arity, height, &fields, init)` builds complete k-ary measurement trees |
 //! | `run` / `tune` service requests pinned to binary trees | both accept an optional `"arity"` field (2 ≤ arity ≤ 8, at least the program's declared arity; out-of-range answers a typed `bad_request`); `TuneOptions` gains `tree_arity` |
 //! | `ValueTree::complete_kary(arity, height, &fields, \|_, _\| 0)` + `fill_fields(&fields, seed)` + `executor.run(&tree)` when only `returns` are needed | `executor.run_complete(arity, height, seed)` → `CompleteRun { returns, nodes, tier }`: the VM tier builds the seeded tree straight into a `FlatTree` (`FlatTree::complete_kary`, same numbering and the same `vtree::field_values` stream), with no `ValueTree` built, flattened or written back; the interpreter tier still builds the `ValueTree` |
 //! | `run` / `tune` heights capped at 16 whatever the arity | the complete tree is bounded by node count: more than 65,535 nodes (the binary height-16 count, `vtree::complete_kary_len`) is a typed `bad_request`, and an omitted height is clamped to fit |
+//! | `verdict.engine == Engine::Automata` on a race witness or an equivalence counterexample | negative race and equivalence verdicts now come from the engine that owns the bounded search: races from `Engine::Configuration` (or `Engine::Trace` when the portfolio omits it), counterexamples from `Engine::Trace`.  The automata engine skips instead of running that search itself, so the witness bytes and `Soundness::Unbounded` are unchanged, and a racy or non-equivalent dispatch counts two engine runs (the automata skip, then the owner's answer) instead of one |
 //!
 //! # Benchmarks
 //!

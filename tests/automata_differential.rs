@@ -1,7 +1,7 @@
 //! The differential harness pinning the automata engine's unbounded
 //! verdicts to the bounded engines.
 //!
-//! `Engine::Automata` now answers race and equivalence queries with
+//! `Engine::Automata` answers race and equivalence queries with
 //! `Soundness::Unbounded` (structural access summaries, the
 //! fusion-correspondence matcher).  An unbounded engine that quietly
 //! disagreed with the exhaustive bounded engines would be worse than no
@@ -14,19 +14,16 @@
 //!
 //! The sweep covers the whole §5 corpus, every program the transform
 //! layer generates, and 100+ proptest-randomized programs under
-//! randomized budgets.  Agreement means outcome *and* witness: where the
-//! automata engine delegates its witness search to the same bounded
-//! procedure an engine runs (races → `check_data_race`, counterexamples →
-//! `check_equivalence`), the witnesses must be byte-identical, not merely
-//! both present.
+//! randomized budgets.
 //!
-//! Skip semantics: when the automata engine cannot discharge a structural
-//! race candidate or establish a fusion correspondence, it *declines*
-//! rather than answering at bounded soundness (`verify_with_engine`
-//! surfaces this as `NoApplicableEngine`).  A skip is only legal when the
-//! bounded engines answer positively — a skipped query with a bounded
-//! *negative* answer would mean the automata engine failed to extract a
-//! witness its own delegate found.
+//! One owner per bounded search: the automata engine only answers what it
+//! proves (`RaceFree`, `Equivalent`) and skips everything else — a skip is
+//! legal for any query, and `verify_with_engine` surfaces it as
+//! `NoApplicableEngine`.  Witnesses come from the engines that own the
+//! searches, so the default portfolio's negative verdict must carry,
+//! byte for byte and at `Soundness::Unbounded`, the witness the owning
+//! engine returns on its own (races → `Engine::Configuration`,
+//! counterexamples → `Engine::Trace`).
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -77,41 +74,49 @@ fn assert_race_agreement(label: &str, program: &Program, max_nodes: usize, valua
 
     match verifier.verify_with_engine(Engine::Automata, Query::DataRace(program)) {
         Ok(by_automata) => {
-            assert_eq!(by_automata.engine, Engine::Automata, "{label}");
-            assert_eq!(
-                by_automata.soundness,
-                Soundness::Unbounded,
-                "{label}: every automata race verdict must be unbounded"
-            );
-            assert_eq!(
-                by_automata.is_race_free(),
-                by_configuration.is_race_free(),
-                "{label}: automata said {:?}, configuration said {:?}",
-                by_automata.outcome,
-                by_configuration.outcome
-            );
-            if let (Some(a), Some(c)) =
-                (by_automata.race_witness(), by_configuration.race_witness())
-            {
-                // Racy programs are delegated to the same bounded witness
-                // search the configuration engine runs: byte-identical.
-                assert_eq!(
-                    format!("{a:?}"),
-                    format!("{c:?}"),
-                    "{label}: automata and configuration race witnesses differ"
-                );
-            }
-        }
-        Err(VerifyError::NoApplicableEngine { .. }) => {
-            // The automata engine only declines a race query when its
-            // delegate found no race to report — a bounded negative here
-            // would be a dropped witness.
+            // The automata engine only proves race-freedom, unbounded; a
+            // race it must leave to the configuration engine.
             assert!(
-                by_configuration.is_race_free(),
-                "{label}: automata engine skipped a query with a bounded race witness"
+                by_automata.is_race_free(),
+                "{label}: the automata engine answered {:?}",
+                by_automata.outcome
+            );
+            assert_eq!(by_automata.engine, Engine::Automata, "{label}");
+            assert_eq!(by_automata.soundness, Soundness::Unbounded, "{label}");
+            // An unbounded all-clear binds every bounded engine (the naive
+            // engine agrees with the configuration engine, checked above).
+            assert!(
+                by_configuration.is_race_free() && by_trace.is_race_free(),
+                "{label}: automata proved race-freedom, configuration said {:?}, trace said {:?}",
+                by_configuration.outcome,
+                by_trace.outcome
             );
         }
+        // A skip is legal for any query: the bounded engines answer it.
+        Err(VerifyError::NoApplicableEngine { .. }) => {}
         Err(other) => panic!("{label}: automata engine failed: {other}"),
+    }
+
+    // The default portfolio's race witness is the configuration engine's,
+    // byte for byte and unbounded.
+    let by_portfolio = verifier
+        .verify(Query::DataRace(program))
+        .unwrap_or_else(|e| panic!("{label}: portfolio failed: {e}"));
+    assert_eq!(
+        by_portfolio.is_race_free(),
+        by_configuration.is_race_free(),
+        "{label}: portfolio said {:?}, configuration said {:?}",
+        by_portfolio.outcome,
+        by_configuration.outcome
+    );
+    if let Some(witness) = by_portfolio.race_witness() {
+        assert_eq!(by_portfolio.engine, Engine::Configuration, "{label}");
+        assert_eq!(by_portfolio.soundness, Soundness::Unbounded, "{label}");
+        assert_eq!(
+            format!("{witness:?}"),
+            format!("{:?}", by_configuration.race_witness().unwrap()),
+            "{label}: portfolio and configuration race witnesses differ"
+        );
     }
 }
 
@@ -146,36 +151,48 @@ fn assert_equivalence_agreement(
 
     match verifier.verify_with_engine(Engine::Automata, Query::Equivalence(original, transformed)) {
         Ok(by_automata) => {
-            assert_eq!(by_automata.engine, Engine::Automata, "{label}");
-            assert_eq!(
-                by_automata.soundness,
-                Soundness::Unbounded,
-                "{label}: every automata equivalence verdict must be unbounded"
-            );
-            assert_eq!(
+            // The automata engine only proves equivalence, unbounded; a
+            // counterexample it must leave to the trace engine.
+            assert!(
                 by_automata.is_equivalent(),
-                by_trace.is_equivalent(),
-                "{label}: automata said {:?}, trace said {:?}",
-                by_automata.outcome,
-                by_trace.outcome
+                "{label}: the automata engine answered {:?}",
+                by_automata.outcome
             );
-            if let (Some(a), Some(t)) = (by_automata.counterexample(), by_trace.counterexample()) {
-                // Non-corresponding pairs delegate to the same bounded
-                // counterexample search the trace engine runs.
-                assert_eq!(
-                    format!("{a:?}"),
-                    format!("{t:?}"),
-                    "{label}: automata and trace counterexamples differ"
-                );
-            }
-        }
-        Err(VerifyError::NoApplicableEngine { .. }) => {
+            assert_eq!(by_automata.engine, Engine::Automata, "{label}");
+            assert_eq!(by_automata.soundness, Soundness::Unbounded, "{label}");
+            // An unbounded equivalence binds the bounded engines (the naive
+            // engine agrees with the trace engine, checked above).
             assert!(
                 by_trace.is_equivalent(),
-                "{label}: automata engine skipped a query with a bounded counterexample"
+                "{label}: automata proved equivalence, trace said {:?}",
+                by_trace.outcome
             );
         }
+        // A skip is legal for any query: the trace engine answers it.
+        Err(VerifyError::NoApplicableEngine { .. }) => {}
         Err(other) => panic!("{label}: automata engine failed: {other}"),
+    }
+
+    // The default portfolio's counterexample is the trace engine's, byte
+    // for byte and unbounded.
+    let by_portfolio = verifier
+        .verify(Query::Equivalence(original, transformed))
+        .unwrap_or_else(|e| panic!("{label}: portfolio failed: {e}"));
+    assert_eq!(
+        by_portfolio.is_equivalent(),
+        by_trace.is_equivalent(),
+        "{label}: portfolio said {:?}, trace said {:?}",
+        by_portfolio.outcome,
+        by_trace.outcome
+    );
+    if let Some(counterexample) = by_portfolio.counterexample() {
+        assert_eq!(by_portfolio.engine, Engine::Trace, "{label}");
+        assert_eq!(by_portfolio.soundness, Soundness::Unbounded, "{label}");
+        assert_eq!(
+            format!("{counterexample:?}"),
+            format!("{:?}", by_trace.counterexample().unwrap()),
+            "{label}: portfolio and trace counterexamples differ"
+        );
     }
 }
 
