@@ -172,8 +172,8 @@ pub fn check_equivalence(
 
 /// [`check_equivalence`] with a cooperative cancel flag, checked once per
 /// tested tree; returns `None` (and no verdict) when the flag is observed
-/// raised.  The façade's parallel portfolio raises the flag on losing
-/// engines once a winner is decided.
+/// raised.  The façade raises the flag when a query's deadline expires or
+/// its dispatch is aborted.
 pub fn check_equivalence_cancellable(
     original: &Program,
     transformed: &Program,

@@ -16,10 +16,10 @@
 //! identical to the pre-parallel code.
 //!
 //! Both searches are additionally *cancellable*: they take a cooperative
-//! cancel flag and abandon the scan as soon as it is raised.  The façade's
-//! parallel portfolio raises the flag on losing engines once a winner is
-//! decided, so a lost engine run costs at most one more loop iteration
-//! instead of the full enumeration.
+//! cancel flag and abandon the scan as soon as it is raised.  The façade
+//! raises the flag when a query's deadline expires or its dispatch is
+//! aborted, so a cancelled engine run costs at most one more loop
+//! iteration instead of the full enumeration.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -173,9 +173,9 @@ pub fn check_data_race(program: &Program, options: &RaceOptions) -> RaceVerdict 
 /// no verdict) as soon as `cancel` is observed raised, checking the flag
 /// once per enumerated tree and once per configuration-pair scan chunk.
 ///
-/// The façade's parallel portfolio raises the flag on losing engines once a
-/// winner is decided, so a lost run stops within one loop iteration instead
-/// of enumerating the remaining trees.
+/// The façade raises the flag when a query's deadline expires or its
+/// dispatch is aborted, so a cancelled run stops within one loop iteration
+/// instead of enumerating the remaining trees.
 pub fn check_data_race_cancellable(
     program: &Program,
     options: &RaceOptions,

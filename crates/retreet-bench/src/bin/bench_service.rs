@@ -28,15 +28,16 @@
 //! additionally asserts single-flight coalescing: 8 threads issuing the
 //! same cold query must trigger exactly one portfolio dispatch.
 //!
-//! Schema v2 adds three robustness phases, each on a fresh service:
+//! Schema v2 added three robustness phases, each on a fresh service (v3
+//! drops the `degraded` serving counter, which can no longer move):
 //!
 //! * **shed** — a deliberately tiny cold lane (1 worker, 1-slot queue)
 //!   under stalled engines; every request must be answered correctly or
 //!   shed with a typed `overloaded` error, and the shed rate is recorded.
 //! * **deadline** — engines stalled far past a short per-query deadline;
-//!   every query must resolve as a typed `deadline_exceeded` error or a
-//!   correct degraded verdict (fail-closed), and the deadline-hit rate is
-//!   recorded.
+//!   every query must resolve as a typed `deadline_exceeded` error
+//!   (fail-closed) and count as a deadline hit, and the deadline-hit rate
+//!   is recorded.
 //! * **cold restart** — the workload is served once with a persistent
 //!   verdict store, the service is dropped, and a restarted service must
 //!   answer the whole workload from the recovered store with **zero**
@@ -377,15 +378,14 @@ fn overload_shed(options: &ServeOptions) -> Result<Phase, String> {
 }
 
 /// The deadline phase: every engine run stalls far past a short per-query
-/// deadline, so every cold query must resolve *typed* — a
-/// `deadline_exceeded` error or a correct degraded verdict — never a wrong
-/// answer and never a hang.
+/// deadline, so every cold query must resolve to the typed
+/// `deadline_exceeded` error — never a verdict and never a hang.
 fn deadline_pressure(options: &ServeOptions) -> Result<Phase, String> {
-    let sources: [(&str, &str); 4] = [
-        (corpus::CYCLETREE_PARALLEL_SRC, "race"),
-        (corpus::OVERLAPPING_PARALLEL_SRC, "race"),
-        (corpus::DISJOINT_PARALLEL_SRC, "race-free"),
-        (corpus::SIZE_COUNTING_PARALLEL_SRC, "race-free"),
+    let sources = [
+        corpus::CYCLETREE_PARALLEL_SRC,
+        corpus::OVERLAPPING_PARALLEL_SRC,
+        corpus::DISJOINT_PARALLEL_SRC,
+        corpus::SIZE_COUNTING_PARALLEL_SRC,
     ];
     let service = Service::new(&ServeOptions {
         deadline_ms: 60,
@@ -394,23 +394,21 @@ fn deadline_pressure(options: &ServeOptions) -> Result<Phase, String> {
         )),
         ..options.clone()
     });
-    for (source, expected) in sources {
+    for source in sources {
         let line = format!(r#"{{"kind":"race","program":"{}"}}"#, json::escape(source));
         let response = service.handle_line(&line);
-        let degraded_ok =
-            response.contains(r#""degraded":true"#) && check_response(&response, expected).is_ok();
-        if !response.contains(r#""code":"deadline_exceeded""#) && !degraded_ok {
+        if !response.contains(r#""code":"deadline_exceeded""#) {
             return Err(format!(
-                "deadline phase: expected a typed deadline_exceeded error or a \
-                 correct degraded verdict, got: {response}"
+                "deadline phase: expected a typed deadline_exceeded error, got: {response}"
             ));
         }
     }
     let hits = service.verifier().serving_stats().deadline_hits;
-    if hits == 0 {
-        return Err(String::from(
-            "deadline phase: stalled engines under a 60ms deadline recorded no \
+    if hits != sources.len() as u64 {
+        return Err(format!(
+            "deadline phase: {} stalled queries under a 60ms deadline recorded {hits} \
              deadline hits",
+            sources.len()
         ));
     }
     Ok(Phase {
@@ -619,7 +617,7 @@ fn main() {
         hit_rate, coalescing_rate
     );
 
-    let mut out = String::from("{\n  \"schema\": \"retreet-bench-service/v2\",\n");
+    let mut out = String::from("{\n  \"schema\": \"retreet-bench-service/v3\",\n");
     out.push_str(
         "  \"methodology\": \"warm-cache NDJSON serving: corpus preloaded via warm_start, \
          then N client threads replay the full \\u00a75 request mix (race + equivalence + \
@@ -630,7 +628,8 @@ fn main() {
          rate under a full 1-slot cold queue with stalled engines, deadline-hit rate with \
          engines stalled past a 60ms per-query deadline, and the warm-hit rate after a \
          cold restart from the persisted verdict store (must be 1.0 with zero engine \
-         runs)\",\n",
+         runs); v3 requires every deadline query to answer deadline_exceeded and drops \
+         the degraded serving counter\",\n",
     );
     out.push_str(&format!("  \"cores\": {cores},\n"));
     out.push_str(&format!(
@@ -666,14 +665,13 @@ fn main() {
     ));
     out.push_str(&format!(
         "  \"serving\": {{ \"engine_runs\": {}, \"cancelled_runs\": {}, \"coalesced\": {}, \
-         \"panicked_runs\": {}, \"deadline_hits\": {}, \"degraded\": {}, \
+         \"panicked_runs\": {}, \"deadline_hits\": {}, \
          \"coalescing_rate\": {coalescing_rate:.4} }},\n",
         serving.engine_runs,
         serving.cancelled_runs,
         serving.coalesced,
         serving.panicked_runs,
-        serving.deadline_hits,
-        serving.degraded
+        serving.deadline_hits
     ));
     out.push_str(&format!(
         "  \"robustness\": {{\n    \"shed\": {{ \"requests\": {}, \"shed\": {}, \

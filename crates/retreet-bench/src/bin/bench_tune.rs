@@ -1,8 +1,8 @@
 //! `bench_tune` — the certified schedule autotuner benchmark.
 //!
 //! Runs `retreet_runtime::tune_and_compile` (the VM-backed cost model over
-//! `retreet_transform::tune`'s schedule search) on all four §5 experiment
-//! families, prints per-family candidate tables with certificates, and
+//! `retreet_transform::tune`'s schedule search) on all five §5 experiment
+//! families (E1, E2, E3, E4a, E5), prints per-family candidate tables with certificates, and
 //! writes the machine-readable report to `BENCH_tune.json` at the
 //! repository root.
 //!

@@ -119,7 +119,6 @@ impl Budget {
         Verifier::builder()
             .equiv_nodes(self.equiv_nodes)
             .valuations(self.equiv_valuations)
-            .check_dependence_order(true)
             .cache_capacity(0)
             .build()
     }
@@ -145,7 +144,6 @@ impl Budget {
             .equiv_nodes(self.equiv_nodes)
             .valuations(self.equiv_valuations)
             .race_nodes(self.race_nodes)
-            .check_dependence_order(true)
             .build()
     }
 }

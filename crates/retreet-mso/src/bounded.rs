@@ -54,8 +54,8 @@ pub fn check_validity(formula: &Formula, max_nodes: usize) -> BoundedVerdict {
 
 /// [`check_validity`] with a cooperative cancel flag: returns `None` (and
 /// no verdict) as soon as `cancel` is observed raised.  The verifier
-/// façade's parallel portfolio raises the flag on losing engines once a
-/// winner is decided.
+/// façade raises the flag when a query's deadline expires or its dispatch
+/// is aborted.
 ///
 /// The flag is checked once per evaluated model *and* once per tree-size
 /// tranche: the corpus is materialized through [`shared_trees_with`] one

@@ -47,9 +47,12 @@
 //!   codegen tier's compile/execute counters.
 //!
 //! Every verdict response carries the engine provenance, the soundness
-//! caveat, the `cached` / `coalesced` serving flags and the `degraded`
-//! deadline marker, so a client can always tell how its answer was
-//! produced.  Malformed requests are answered with
+//! caveat and the `cached` / `coalesced` serving flags, so a client can
+//! always tell how its answer was produced.  It also carries
+//! `"degraded":false`, and the `stats` response's `serving` block
+//! `"degraded":0`: both are constants kept so the wire format does not
+//! change (a deadline never yields a verdict, only `deadline_exceeded`).
+//! Malformed requests are answered with
 //! `{"status": "error", "code": ..., ...}` on the same line — the
 //! connection (and the service) stays up.
 //!
@@ -77,10 +80,8 @@
 //! # Robustness
 //!
 //! * **Deadlines** — [`ServeOptions::deadline_ms`] arms a per-query
-//!   wall-clock budget; an expired query resolves fail-closed (a verdict
-//!   marked `degraded` when a finished engine's answer can be served,
-//!   the typed `deadline_exceeded` error otherwise — never a wrong or
-//!   truncated verdict).
+//!   wall-clock budget; an expired query resolves fail-closed to the typed
+//!   `deadline_exceeded` error — never a wrong or truncated verdict.
 //! * **Persistence** — [`ServeOptions::persist`] backs the verdict cache
 //!   with a crash-safe append-only log; a restarted replica reloads every
 //!   verdict it ever computed and serves them as cache hits.
@@ -137,8 +138,6 @@ pub struct ServeOptions {
     pub validity_nodes: usize,
     /// Deterministic field valuations per tree shape.
     pub valuations: usize,
-    /// Run the applicable engines concurrently per query.
-    pub parallel: bool,
     /// Verdict-cache capacity (0 disables caching and coalescing).
     pub cache_capacity: usize,
     /// Cold-lane worker threads (clamped to ≥ 1).
@@ -171,7 +170,6 @@ impl Default for ServeOptions {
             equiv_nodes: 5,
             validity_nodes: 5,
             valuations: 2,
-            parallel: false,
             cache_capacity: 4096,
             workers: 2,
             cold_queue: 256,
@@ -194,7 +192,6 @@ impl ServeOptions {
             .equiv_nodes(self.equiv_nodes)
             .validity_nodes(self.validity_nodes)
             .valuations(self.valuations)
-            .parallel(self.parallel)
             .cache_capacity(self.cache_capacity);
         if self.deadline_ms > 0 {
             builder = builder.default_deadline(Duration::from_millis(self.deadline_ms));
@@ -820,7 +817,7 @@ impl Service {
             "\"status\":\"ok\",\"kind\":\"stats\",\"requests\":{},\
              \"cache\":{{\"hits\":{},\"misses\":{},\"collisions\":{},\"entries\":{}}},\
              \"serving\":{{\"engine_runs\":{},\"cancelled_runs\":{},\"panicked_runs\":{},\
-             \"deadline_hits\":{},\"degraded\":{},\"coalesced\":{}}},\
+             \"deadline_hits\":{},\"degraded\":0,\"coalesced\":{}}},\
              \"sched\":{{\"workers\":{},\"queue_depth\":{},\"cold_executed\":{},\"shed\":{},\
              \"warm_inline\":{},\"inflight\":{},\"shutting_down\":{}}},\
              \"codegen\":{{\"compiles\":{},\"vm_runs\":{},\"interp_runs\":{},\"tunes\":{}}}",
@@ -833,7 +830,6 @@ impl Service {
             serving.cancelled_runs,
             serving.panicked_runs,
             serving.deadline_hits,
-            serving.degraded,
             serving.coalesced,
             self.cold.worker_count(),
             self.cold.queue_depth(),
@@ -1097,7 +1093,7 @@ fn verdict_response(
     out.push_str(&format!(
         "\"status\":\"ok\",\"kind\":\"{}\",\"verdict\":\"{}\",\"positive\":{},\
          \"engine\":\"{}\",\"soundness\":\"{}\",\"cached\":{},\"coalesced\":{},\
-         \"degraded\":{},\"elapsed_us\":{},\"trees_checked\":{},\"detail\":\"{}\"}}",
+         \"degraded\":false,\"elapsed_us\":{},\"trees_checked\":{},\"detail\":\"{}\"}}",
         parsed.kind(),
         word,
         verdict.is_positive(),
@@ -1105,7 +1101,6 @@ fn verdict_response(
         soundness,
         verdict.cached,
         verdict.coalesced,
-        verdict.degraded,
         verdict.elapsed.as_micros(),
         verdict.trees_checked(),
         json::escape(&detail),
@@ -1371,7 +1366,6 @@ mod tests {
             equiv_nodes: 3,
             validity_nodes: 3,
             valuations: 1,
-            parallel: false,
             cache_capacity: 1024,
             ..ServeOptions::default()
         }
@@ -1782,6 +1776,33 @@ mod tests {
         assert_eq!(sched["cold_executed"], Value::Number(1.0));
         assert_eq!(sched["warm_inline"], Value::Number(1.0));
         assert_eq!(sched["shed"], Value::Number(0.0));
+    }
+
+    #[test]
+    fn an_expired_deadline_answers_deadline_exceeded_and_degraded_stays_zero() {
+        // Every engine run stalls far past the 50 ms budget: the request
+        // answers the typed error, and the stats line still carries the
+        // `degraded` wire constant.
+        let service = Service::new(&ServeOptions {
+            deadline_ms: 50,
+            faults: Some(Arc::new(
+                FaultPlan::builder(5).engine_stall(1.0, 60_000).build(),
+            )),
+            ..quick_options()
+        });
+        let program = json::escape(corpus::SIZE_COUNTING_PARALLEL_SRC);
+        let response =
+            service.handle_line(&format!(r#"{{"kind": "race", "program": "{program}"}}"#));
+        assert_eq!(
+            field(&response, "code").as_str(),
+            Some("deadline_exceeded"),
+            "{response}"
+        );
+        let stats = json::parse(&service.handle_line(r#"{"kind": "stats"}"#)).unwrap();
+        let serving = stats.as_object().unwrap()["serving"].as_object().unwrap();
+        assert_eq!(serving["deadline_hits"], Value::Number(1.0));
+        assert_eq!(serving["cancelled_runs"], Value::Number(1.0));
+        assert_eq!(serving["degraded"], Value::Number(0.0));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The `retreet-serve` binary: a long-running verification service.
 //!
 //! ```text
-//! retreet-serve [--listen ADDR] [--parallel] [--warm-start]
+//! retreet-serve [--listen ADDR] [--warm-start]
 //!               [--max-nodes N] [--race-nodes N] [--equiv-nodes N]
 //!               [--validity-nodes N] [--valuations N] [--cache-capacity N]
 //!               [--workers N] [--cold-queue N] [--deadline-ms MS]
@@ -46,7 +46,6 @@ fn parse_args() -> Result<Args, String> {
         };
         match arg.as_str() {
             "--listen" => args.listen = Some(value("--listen")?),
-            "--parallel" => args.options.parallel = true,
             "--warm-start" => args.warm_start = true,
             "--max-nodes" => {
                 let nodes = parse("--max-nodes", value("--max-nodes")?)?;
@@ -87,7 +86,7 @@ fn parse_args() -> Result<Args, String> {
             "--fail-open" => args.options.fail_open = true,
             "--help" | "-h" => {
                 println!(
-                    "retreet-serve [--listen ADDR] [--parallel] [--warm-start] \
+                    "retreet-serve [--listen ADDR] [--warm-start] \
                      [--max-nodes N] [--race-nodes N] [--equiv-nodes N] \
                      [--validity-nodes N] [--valuations N] [--cache-capacity N] \
                      [--workers N] [--cold-queue N] [--deadline-ms MS] \

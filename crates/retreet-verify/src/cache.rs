@@ -438,7 +438,6 @@ mod tests {
             elapsed: Duration::from_millis(1),
             cached: false,
             coalesced: false,
-            degraded: false,
         }
     }
 

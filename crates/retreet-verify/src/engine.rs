@@ -110,35 +110,30 @@ pub struct EngineConfig {
     pub validity_nodes: usize,
     /// Deterministic field valuations per tree shape.
     pub valuations: usize,
-    /// Enforce the Theorem 3 dependence-order condition in equivalence
-    /// queries.
-    pub check_dependence_order: bool,
-    /// Configuration-enumeration limits (depth / configuration caps).
-    pub enumeration: retreet_analysis::configs::EnumOptions,
 }
 
 impl EngineConfig {
-    /// The race-engine options this configuration induces.
+    /// The race-engine options this configuration induces (default
+    /// configuration-enumeration limits).
     pub fn race_options(&self) -> RaceOptions {
         RaceOptions::builder()
             .max_nodes(self.race_nodes)
             .valuations(self.valuations)
-            .enumeration(self.enumeration.clone())
             .build()
     }
 
-    /// The equivalence-engine options this configuration induces.
+    /// The equivalence-engine options this configuration induces (the
+    /// Theorem 3 dependence-order condition is always enforced).
     pub fn equiv_options(&self) -> EquivOptions {
         EquivOptions::builder()
             .max_nodes(self.equiv_nodes)
             .valuations(self.valuations)
-            .check_dependence_order(self.check_dependence_order)
             .build()
     }
 }
 
 /// What one engine produced for one query.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) enum EngineAnswer {
     /// The engine produced a verdict.
     Verdict(Outcome, Soundness),
@@ -146,19 +141,18 @@ pub(crate) enum EngineAnswer {
     /// kind); other portfolio members may still answer.
     Skip(EngineSkip),
     /// The engine observed the cooperative cancel flag and abandoned its
-    /// enumeration: a winner was already decided (or the query's deadline
-    /// expired), so no verdict may (or needs to) be derived from the
-    /// partial run.
+    /// enumeration: the query's deadline expired or the dispatch was
+    /// aborted, so no verdict may be derived from the partial run.
     Cancelled,
     /// The engine panicked.  `catch_unwind` confines the unwind to the
-    /// engine's own slot — the connection/worker thread survives and the
-    /// other portfolio members keep racing; only when *no* engine answers
-    /// does the portfolio report failure.
+    /// engine's own turn — the connection/worker thread survives and the
+    /// next portfolio member still runs; only when *no* engine answers does
+    /// the portfolio report failure.
     Panicked(String),
 }
 
-/// A cancel flag that is never raised, for the sequential portfolio and
-/// single-engine runs (nothing can out-race them).
+/// A cancel flag that is never raised, for single-engine runs (no deadline
+/// or abort reaches them).
 pub(crate) static NEVER_CANCELLED: AtomicBool = AtomicBool::new(false);
 
 /// Runs `engine` on `query` under `config`, returning the outcome with its
@@ -227,8 +221,8 @@ fn run_engine_inner(
     if !engine.supports(query.kind()) {
         return skip(engine, format!("does not answer {} queries", query.kind()));
     }
-    // A losing engine whose portfolio already has a winner skips the whole
-    // run, not just the remaining loop iterations.
+    // An engine whose dispatch was already cancelled skips the whole run,
+    // not just the remaining loop iterations.
     if cancel.load(Ordering::Relaxed) {
         return EngineAnswer::Cancelled;
     }

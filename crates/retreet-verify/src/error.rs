@@ -66,20 +66,17 @@ pub enum VerifyError {
         /// Why each consulted engine declined.
         skipped: Vec<EngineSkip>,
     },
-    /// The portfolio ran but every engine worker terminated without
-    /// producing a verdict (every applicable engine panicked — each panic
-    /// is isolated to its slot by `catch_unwind`, so one bad engine cannot
-    /// take the others down, but when *none* survives this is the honest
-    /// answer).
+    /// The portfolio ran but every applicable engine panicked (each panic
+    /// is isolated to its engine's turn by `catch_unwind`, so one bad
+    /// engine cannot take the others down, but when *none* survives this
+    /// is the honest answer).
     PortfolioFailed {
         /// The kind of query that was being answered.
         query: QueryKind,
     },
-    /// The per-query deadline expired before any engine produced a verdict.
-    /// Fail-closed: no partial or truncated answer is ever synthesized —
-    /// when at least one engine *did* finish in budget, the portfolio
-    /// returns its verdict marked [`crate::Verdict::degraded`] instead of
-    /// this error.
+    /// The per-query deadline expired (or the dispatch was aborted) before
+    /// an engine produced a verdict.  Fail-closed: no partial or truncated
+    /// answer is ever synthesized.
     DeadlineExceeded {
         /// The kind of query whose budget expired.
         query: QueryKind,

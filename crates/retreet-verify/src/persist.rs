@@ -8,7 +8,7 @@
 //! recovery generalizes the old 18-query `--warm-start` to *every verdict
 //! ever computed*, witnesses byte-identical.
 //!
-//! Three invariants the layer maintains:
+//! Two invariants the layer maintains:
 //!
 //! * **Upgrade lattice** — a persisted entry is only superseded when the
 //!   incoming verdict's [`Soundness::covers`] the resident one's, exactly
@@ -18,8 +18,6 @@
 //! * **Failure isolation** — a store write error is counted, never
 //!   propagated: serving keeps answering from memory, and the next
 //!   compaction rewrites the full live set (transient errors self-heal).
-//! * **No degraded persistence** — deadline-degraded verdicts are neither
-//!   cached nor persisted; a restart retries them at full budget.
 //!
 //! The on-disk value encoding is a small hand-rolled binary format.
 //! Programs are stored as pretty-printed source (the PR-3 round-trip
@@ -144,9 +142,6 @@ impl VerdictStore {
     /// lattice against the *persisted* resident entry; failures are
     /// counted, never propagated.
     pub(crate) fn write_through(&self, key: &CacheKey, subjects: &OwnedQuery, verdict: &Verdict) {
-        if verdict.degraded {
-            return; // deadline-degraded verdicts are never persisted
-        }
         let key_bytes = key_bytes_of(key);
         let mut inner = self.inner.lock().expect("verdict store poisoned");
         if let Some(resident) = inner.soundness.get(&key_bytes) {
@@ -755,7 +750,6 @@ fn decode_entry(key_bytes: &[u8], value: &[u8]) -> Result<(CacheKey, OwnedQuery,
         elapsed,
         cached: false,
         coalesced: false,
-        degraded: false,
     };
     Ok((key, subjects, verdict))
 }
@@ -873,7 +867,6 @@ mod tests {
                 elapsed: Duration::from_micros(1234),
                 cached: false,
                 coalesced: false,
-                degraded: false,
             };
             let key = subjects
                 .as_query()
@@ -906,7 +899,6 @@ mod tests {
             elapsed: Duration::from_nanos(5),
             cached: false,
             coalesced: false,
-            degraded: false,
         };
         let key = subjects
             .as_query()

@@ -62,15 +62,10 @@ impl Query<'_> {
         }
     }
 
-    /// An owned copy of this query (used by the verdict cache to verify
-    /// key hits by full subject equality, and by the parallel portfolio so
-    /// worker threads can outlive the caller's borrow).
-    pub(crate) fn to_owned_query(self) -> OwnedQuery {
-        self.to_owned_query_with(|program| Arc::new(program.clone()))
-    }
-
-    /// Like [`Self::to_owned_query`], taking each program from `share` (the
-    /// verdict cache passes a resident copy when it holds an equal one).
+    /// An owned copy of this query (the verdict cache verifies key hits by
+    /// full subject equality), taking each program from `share`: the cache
+    /// passes a resident copy when it holds an equal one and a fresh clone
+    /// otherwise.
     pub(crate) fn to_owned_query_with(
         self,
         mut share: impl FnMut(&Program) -> Arc<Program>,

@@ -117,14 +117,6 @@ pub struct Verdict {
     /// run, and received the same witness — without racing the portfolio a
     /// second time.
     pub coalesced: bool,
-    /// True when this verdict is *deadline-degraded*: a more authoritative
-    /// engine was still running when the per-query deadline expired, so
-    /// this is the best verdict that resolved in budget rather than the
-    /// portfolio's authoritative answer.  The verdict is still honest — its
-    /// [`Soundness`] states exactly how far it extends — but it is never
-    /// cached or persisted, so a retry after load subsides gets the full
-    /// portfolio again.
-    pub degraded: bool,
 }
 
 impl Verdict {
@@ -203,12 +195,11 @@ impl fmt::Display for Verdict {
         };
         write!(
             f,
-            "{answer} [engine: {}, {}{}{}{}, {:?}]",
+            "{answer} [engine: {}, {}{}{}, {:?}]",
             self.engine,
             self.soundness,
             if self.cached { ", cached" } else { "" },
             if self.coalesced { ", coalesced" } else { "" },
-            if self.degraded { ", degraded" } else { "" },
             self.elapsed
         )
     }

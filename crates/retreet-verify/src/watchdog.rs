@@ -3,8 +3,8 @@
 //!
 //! Every deadline-carrying dispatch registers `(expiry, Weak<AtomicBool>)`
 //! here.  The watchdog thread sleeps until the earliest expiry, raises the
-//! flag (the same `AtomicBool` the PR-5 parallel portfolio already threads
-//! through every engine's enumeration loops), and moves on.  Queries that
+//! flag (the dispatch's `AtomicBool`, which every engine polls in its
+//! enumeration loops), and moves on.  Queries that
 //! finish in time simply drop their `Arc`; the weak reference then upgrades
 //! to nothing and the expiry is a no-op — no deregistration bookkeeping on
 //! the fast path.

@@ -6,10 +6,10 @@
 //! (fork–join parallelism over OS threads) with a much simpler scheduler: a
 //! global token counter bounds the number of live worker threads to the
 //! machine's parallelism, and once the tokens are exhausted every further
-//! `join`/`spawn` degrades gracefully to sequential execution in the calling
-//! thread.  That is exactly the behaviour the traversal schedules and the
-//! verifier portfolio rely on (correctness never depends on real
-//! concurrency, only speed does).
+//! `join` or scope spawn degrades gracefully to sequential execution in the
+//! calling thread.  That is exactly the behaviour the traversal schedules
+//! and the verifier's batch fan-out rely on (correctness never depends on
+//! real concurrency, only speed does).
 //!
 //! [rayon]: https://crates.io/crates/rayon
 
@@ -25,7 +25,7 @@ static ACTIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
 ///
 /// Cached after the first call: `std::thread::available_parallelism` reads
 /// procfs/cgroupfs on Linux (tens of microseconds), and this function sits
-/// on the `join`/`spawn` hot path.
+/// on the `join` / scope-spawn hot path.
 pub fn current_num_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
@@ -92,24 +92,6 @@ where
         })
     } else {
         (a(), b())
-    }
-}
-
-/// Spawns a fire-and-forget task, mirroring `rayon::spawn`: the task runs
-/// on another thread when a worker token is available and inline in the
-/// calling thread otherwise.  There is no join handle; synchronize through
-/// channels or atomics.
-pub fn spawn<F>(f: F)
-where
-    F: FnOnce() + Send + 'static,
-{
-    if try_reserve_worker() {
-        std::thread::spawn(move || {
-            let _token = WorkerToken;
-            f();
-        });
-    } else {
-        f();
     }
 }
 

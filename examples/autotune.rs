@@ -20,7 +20,6 @@ fn main() {
         .equiv_nodes(5)
         .race_nodes(4)
         .valuations(2)
-        .check_dependence_order(true)
         .build();
     let program = corpus::css_minify_original();
     let options = TuneOptions {

@@ -47,13 +47,10 @@ fn main() {
     )
     .expect("original parses");
 
-    // Build the verifier once: one budget, the full engine portfolio, and a
-    // verdict cache that makes repeated legality questions O(1).
-    let verifier = Verifier::builder()
-        .max_nodes(5)
-        .valuations(3)
-        .parallel(true)
-        .build();
+    // Build the verifier once: one budget, the full engine portfolio (run in
+    // authority order, unbounded engines first), and a verdict cache that
+    // makes repeated legality questions O(1).
+    let verifier = Verifier::builder().max_nodes(5).valuations(3).build();
 
     // Ask the transform layer to fuse the two passes of `Main`.  The fused
     // program is synthesized at the AST level and only returned with an
@@ -142,7 +139,7 @@ fn main() {
     }
     let serving = verifier.serving_stats();
     println!(
-        "serving stats: {} engine runs, {} cancelled, {} coalesced",
-        serving.engine_runs, serving.cancelled_runs, serving.coalesced
+        "serving stats: {} engine runs, {} coalesced",
+        serving.engine_runs, serving.coalesced
     );
 }

@@ -11,8 +11,7 @@
 //! let verifier = Verifier::builder()
 //!     .max_nodes(3)      // exhaust every tree up to this many nodes
 //!     .valuations(1)     // deterministic field valuations per shape
-//!     .parallel(true)    // race the applicable engines, first verdict wins
-//!     .build();
+//!     .build();          // engines run in authority order; the first answer wins
 //!
 //! // Theorem 2 (data race), Theorem 3 (equivalence) and MSO validity all go
 //! // through the same call:
@@ -87,15 +86,15 @@
 //! | asserting `verdict.engine == Engine::Trace` (or `trees_checked() > 0`) on §5 race/equivalence portfolio verdicts | the default portfolio now answers the positive ones with `Engine::Automata`, `Soundness::Unbounded`, and `trees_checked() == 0` (no model enumeration backs an unbounded answer; for the negative ones see the provenance row below); pin `.engines([Engine::Configuration])` / `[Engine::Trace]` to keep exercising the bounded tiers, or assert on `verdict.soundness` instead of the model count |
 //! | re-verifying to strengthen a cached bounded verdict | the cache upgrades in place: an unbounded verdict replaces a resident `BoundedUpTo` entry for the same key, and a bounded re-run never downgrades a resident unbounded (or wider-bounded) verdict — `Soundness::covers` is the replacement criterion |
 //! | `Verdict { outcome, engine, soundness, elapsed, cached }` | gains `coalesced: bool` (the verdict was adopted from an identical in-flight query's single engine run) |
-//! | `.parallel(true)` first-definitive-verdict-wins dispatch | **removed** (it could cache a bounded positive over a pending engine's unbounded refutation, nondeterministically): parallel dispatch now decides by *authority* — dispatch order, unbounded engines first — and verdict + witness are identical to sequential on every run; losing engines are cooperatively cancelled |
+//! | `.parallel(true)` first-definitive-verdict-wins dispatch | **removed** (it could cache a bounded positive over a pending engine's unbounded refutation, nondeterministically).  Dispatch decides by *authority* — dispatch order, unbounded engines first; the parallel portfolio that replaced it is gone too (see the `VerifierBuilder::parallel` row) |
 //! | looping `verifier.verify(q)` over a batch | `verifier.verify_batch(&[q1, q2, …])` — worker-thread fan-out, results in input order, duplicates coalesced |
-//! | hand-rolled serving loops around a `Verifier` | `retreet_serve::Service` + `serve_lines` / `serve_tcp` (NDJSON protocol), or the `retreet-serve` binary (`--listen ADDR --warm-start --parallel`) |
-//! | `check_data_race` / `check_equivalence` / `check_validity` in a portfolio worker | the `*_cancellable(…, cancel: &AtomicBool)` variants — return `None` instead of a verdict once the flag is raised |
+//! | hand-rolled serving loops around a `Verifier` | `retreet_serve::Service` + `serve_lines` / `serve_tcp` (NDJSON protocol), or the `retreet-serve` binary (`--listen ADDR --warm-start`) |
+//! | `check_data_race` / `check_equivalence` / `check_validity` in a run that must stop on a deadline | the `*_cancellable(…, cancel: &AtomicBool)` variants — return `None` instead of a verdict once the flag is raised |
 //! | `retreet_analysis::interp::run(&p, &tree)` in a hot loop | `retreet_runtime::exec::ProgramExecutor::new(&p)` (or `with_verifier(&verifier, &p)` for certified iterative lowering) + `executor.run(&tree)` — compile once, run on the VM many times, interpreter fallback when the program doesn't compile |
 //! | one-shot compiled execution | `retreet_runtime::run_compiled(&p, &tree)` / `run_compiled_certified(&verifier, &certified_transform, &tree)` |
 //! | trusting a hand-written iterative rewrite of a recursive traversal | `retreet_codegen::compile_with_lowering(&verifier, &p)` — the lowering is synthesized, then certified via `Query::Equivalence` against a reconstruction; refusals carry the counterexample tree and the function stays on frame bytecode |
-//! | `Verdict { outcome, engine, soundness, elapsed, cached, coalesced }` | gains `degraded: bool` — a best-effort verdict returned because the per-query deadline expired after this engine finished but before the authoritative one did; degraded verdicts are never cached or persisted, so cache hits always report `degraded == false` |
-//! | `verifier.verify(q)` with unbounded patience | `Verifier::builder().default_deadline(Duration)…` (or `ServeOptions::deadline_ms` / `--deadline-ms`): the watchdog raises the cooperative cancel flag at expiry and the call resolves *typed* — a degraded best-resolved verdict or `VerifyError::DeadlineExceeded`, never a wrong or truncated answer |
+//! | `Verdict { outcome, engine, soundness, elapsed, cached, coalesced }` | unchanged; the `degraded: bool` a later revision added is removed again (see the `Verdict::degraded` row) |
+//! | `verifier.verify(q)` with unbounded patience | `Verifier::builder().default_deadline(Duration)…` (or `ServeOptions::deadline_ms` / `--deadline-ms`): the watchdog raises the cooperative cancel flag at expiry and the call resolves *typed* to `VerifyError::DeadlineExceeded`, never a wrong or truncated answer |
 //! | `--warm-start` as the only restart story | `Verifier::builder().persist(path)` / `ServeOptions::persist` / `--persist PATH`: a crash-safe `retreet_store` record log written through on every fresh verdict and replayed on startup — warm start generalized to every verdict ever computed; `--fail-open` refuses a corrupt store instead of skipping bad records |
 //! | `ServeOptions { race_nodes, equiv_nodes, validity_nodes, valuations, parallel, cache_capacity }` | gains the robustness knobs `workers`, `cold_queue`, `deadline_ms`, `max_connections`, `drain_ms`, `persist`, `fail_open`, `faults` — exhaustive literals must append `..ServeOptions::default()` |
 //! | `Service::new(&options)` panicking on a bad store | `Service::try_new(&options)` → `Result<Service, VerifyError>` (`Service::new` still panics); `Service::finish()` drains in-flight work, joins the cold-lane workers and flushes the store — call it (or send `{"kind":"shutdown"}`) before exit |
@@ -114,6 +113,12 @@
 //! | `run` / `tune` service requests pinned to binary trees | both accept an optional `"arity"` field (2 ≤ arity ≤ 8, at least the program's declared arity; out-of-range answers a typed `bad_request`); `TuneOptions` gains `tree_arity` |
 //! | `ValueTree::complete_kary(arity, height, &fields, \|_, _\| 0)` + `fill_fields(&fields, seed)` + `executor.run(&tree)` when only `returns` are needed | `executor.run_complete(arity, height, seed)` → `CompleteRun { returns, nodes, tier }`: the VM tier builds the seeded tree straight into a `FlatTree` (`FlatTree::complete_kary`, same numbering and the same `vtree::field_values` stream), with no `ValueTree` built, flattened or written back; the interpreter tier still builds the `ValueTree` |
 //! | `run` / `tune` heights capped at 16 whatever the arity | the complete tree is bounded by node count: more than 65,535 nodes (the binary height-16 count, `vtree::complete_kary_len`) is a typed `bad_request`, and an omitted height is clamped to fit |
+//! | `VerifierBuilder::parallel(true)` / `ServeOptions::parallel` / `retreet-serve --parallel` | **removed**: every dispatch runs the applicable engines one after the other in authority order, the one path the default always took.  The parallel portfolio returned the same verdict and witness, only later (it started engines whose answers the authority order discarded); drop the call, the field or the flag.  `verify_batch` still fans a batch out over worker threads |
+//! | `Verdict::degraded` / `ServingStats::degraded` | **removed**: only the parallel portfolio produced degraded verdicts.  A deadline or `abort_inflight` now always resolves to `VerifyError::DeadlineExceeded` (counted in `ServingStats::deadline_hits`); the NDJSON wire keeps `"degraded":false` on verdict lines and `"degraded":0` in the stats line as constants |
+//! | `VerifierBuilder::check_dependence_order(bool)` | **removed**: the façade always enforces the Theorem 3 dependence-order condition (the default every caller used).  To compare observable behaviour only, call `retreet_analysis::equiv::check_equivalence` with `EquivOptions::builder().check_dependence_order(false)` |
+//! | `VerifierBuilder::enumeration(EnumOptions)` | **removed** (no caller): the race engines use `EnumOptions::default()`.  Custom limits go through `retreet_analysis::race::check_data_race` with `RaceOptions::builder().enumeration(…)` |
+//! | `EngineConfig { …, check_dependence_order, enumeration }` | `EngineConfig { race_nodes, equiv_nodes, validity_nodes, valuations }`.  The config is hashed into every cache key, so a verdict store persisted by an older build misses once per query and is then rewritten; the record format is unchanged |
+//! | `rayon::spawn` (the in-tree shim) | **removed** (its only caller was the parallel portfolio): use `rayon::scope` + `Scope::spawn`, or `rayon::join` |
 //! | `verdict.engine == Engine::Automata` on a race witness or an equivalence counterexample | negative race and equivalence verdicts now come from the engine that owns the bounded search: races from `Engine::Configuration` (or `Engine::Trace` when the portfolio omits it), counterexamples from `Engine::Trace`.  The automata engine skips instead of running that search itself, so the witness bytes and `Soundness::Unbounded` are unchanged, and a racy or non-equivalent dispatch counts two engine runs (the automata skip, then the owner's answer) instead of one |
 //!
 //! # Benchmarks
@@ -129,17 +134,18 @@
 //! `cargo run --release -p retreet-bench --bin bench_transform` writes
 //! `BENCH_transform.json` (schema `retreet-bench-transform/v2`): every
 //! fusable §5 case synthesized and certified through the transform tier,
-//! plus fused-vs-sequential runtime on all four families — both sides
+//! plus fused-vs-sequential runtime on all five families — both sides
 //! compiled to the VM tier and differential-checked against the
 //! interpreter before timing.  CI runs it in quick mode and fails on
 //! certificate drift and on execution drift.
 //!
 //! `cargo run --release -p retreet-bench --bin bench_service` writes
-//! `BENCH_service.json` (schema `retreet-bench-service/v2`): warm-cache
+//! `BENCH_service.json` (schema `retreet-bench-service/v3`): warm-cache
 //! serving throughput and p50/p99 latency under 1/4/8 client threads,
 //! cache hit and coalescing rates, a cold-burst single-flight check, and
 //! three robustness phases — shed rate under a full cold queue, the
-//! deadline-hit rate with engines stalled past the per-query deadline,
+//! deadline-hit rate with engines stalled past the per-query deadline
+//! (every such query must answer `deadline_exceeded`),
 //! and the warm-hit rate after a cold restart from the persisted verdict
 //! store (which must be exactly 1.0 with zero engine runs).  Every
 //! response is verified against the paper's verdict — drift under
@@ -156,7 +162,8 @@
 //!
 //! `cargo run --release -p retreet-bench --bin bench_tune` writes
 //! `BENCH_tune.json` (schema `retreet-bench-tune/v1`): the certified
-//! schedule autotuner run on all four §5 families — the full scored
+//! schedule autotuner run on all five §5 families (E1, E2, E3, E4a,
+//! E5) — the full scored
 //! candidate table (certified schedules with measured VM seconds,
 //! refusals with their witnesses), both baselines, and the winner with
 //! its certificate provenance.  CI runs it in quick mode and fails on

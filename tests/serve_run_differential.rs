@@ -28,7 +28,6 @@ fn quick_service() -> Service {
         equiv_nodes: 3,
         validity_nodes: 3,
         valuations: 1,
-        parallel: false,
         cache_capacity: 1024,
         ..ServeOptions::default()
     })

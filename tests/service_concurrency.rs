@@ -5,9 +5,9 @@
 //!
 //! * **Single-flight** — N identical concurrent queries trigger exactly one
 //!   portfolio dispatch; every waiter receives the identical witness.
-//! * **Determinism** — the parallel portfolio returns the same verdict
-//!   (outcome, witness, engine provenance) as the sequential portfolio, on
-//!   every run.
+//! * **Determinism** — uncached dispatches running at once return the same
+//!   verdict (outcome, witness, engine provenance) as a single-threaded
+//!   reference run, on every run.
 //! * **Accounting** — sharded-cache stats stay consistent: every lookup is
 //!   exactly one hit or miss (`hits + misses == total cache lookups`), and
 //!   the separate `collisions` diagnostic stays 0 for distinct real
@@ -17,7 +17,7 @@ use std::sync::{Arc, Barrier};
 
 use retreet_repro::retreet_lang::corpus;
 use retreet_repro::retreet_serve::{json, ServeOptions, Service};
-use retreet_repro::retreet_verify::{Query, Verifier};
+use retreet_repro::retreet_verify::{Query, Verdict, Verifier};
 
 /// The corpus programs with a data race.
 const RACY_CORPUS_PROGRAMS: [&str; 3] = [
@@ -138,45 +138,49 @@ fn concurrent_identical_and_distinct_queries_keep_stats_consistent() {
 }
 
 #[test]
-fn parallel_portfolio_matches_sequential_across_the_corpus_100_runs() {
-    // The §5 differential: across 100+ parallel-portfolio runs, the verdict
-    // (outcome, witness, engine provenance, soundness) must be identical to
-    // the sequential ("authoritative first") portfolio's.  Caches are off
-    // so every run exercises the real dispatch race.
-    let sequential = Verifier::builder()
+fn concurrent_uncached_dispatches_match_a_reference_100_runs() {
+    // With the cache off every query is a fresh dispatch, and dispatches
+    // running at once share only process-wide analysis state.  Across 100+
+    // dispatches from four threads, every verdict (outcome, witness, engine
+    // provenance, soundness) must equal the single-threaded reference run's.
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 2;
+    let verifier = Verifier::builder()
         .max_nodes(3)
         .valuations(1)
         .cache_capacity(0)
         .build();
-    let parallel = Verifier::builder()
-        .max_nodes(3)
-        .valuations(1)
-        .parallel(true)
-        .cache_capacity(0)
-        .build();
+    let render = |verdict: Verdict| {
+        format!(
+            "{} {:?} {:?}",
+            verdict.engine, verdict.soundness, verdict.outcome
+        )
+    };
     let programs = corpus::all();
-    let mut runs = 0;
-    for round in 0..8 {
-        for (name, program) in &programs {
-            let expected = sequential.verify(Query::DataRace(program)).unwrap();
-            let got = parallel.verify(Query::DataRace(program)).unwrap();
-            runs += 1;
-            assert_eq!(
-                expected.engine, got.engine,
-                "round {round}, {name}: engine provenance drifted"
-            );
-            assert_eq!(
-                expected.soundness, got.soundness,
-                "round {round}, {name}: soundness drifted"
-            );
-            assert_eq!(
-                format!("{:?}", expected.outcome),
-                format!("{:?}", got.outcome),
-                "round {round}, {name}: outcome or witness drifted"
-            );
+    let expected: Vec<String> = programs
+        .iter()
+        .map(|(_, program)| render(verifier.verify(Query::DataRace(program)).unwrap()))
+        .collect();
+    let runs = THREADS * ROUNDS * programs.len();
+    assert!(runs >= 100, "need 100+ concurrent dispatches, did {runs}");
+    let barrier = Barrier::new(THREADS);
+    let (verifier, programs, expected, barrier) = (&verifier, &programs, &expected, &barrier);
+    std::thread::scope(|s| {
+        for thread in 0..THREADS {
+            s.spawn(move || {
+                barrier.wait();
+                for round in 0..ROUNDS {
+                    for ((name, program), expected) in programs.iter().zip(expected) {
+                        let got = render(verifier.verify(Query::DataRace(program)).unwrap());
+                        assert_eq!(
+                            &got, expected,
+                            "thread {thread}, round {round}, {name}: verdict drifted"
+                        );
+                    }
+                }
+            });
         }
-    }
-    assert!(runs >= 100, "need 100+ differential runs, did {runs}");
+    });
 }
 
 #[test]
@@ -187,7 +191,6 @@ fn shared_service_answers_concurrent_ndjson_clients_consistently() {
         equiv_nodes: 3,
         validity_nodes: 3,
         valuations: 1,
-        parallel: false,
         cache_capacity: 1024,
         ..ServeOptions::default()
     }));
@@ -247,7 +250,6 @@ fn tcp_service_round_trips_ndjson_over_a_real_socket() {
         equiv_nodes: 3,
         validity_nodes: 3,
         valuations: 1,
-        parallel: false,
         cache_capacity: 1024,
         ..ServeOptions::default()
     }));

@@ -223,28 +223,6 @@ fn facade_and_legacy_entry_points_agree() {
 }
 
 #[test]
-fn parallel_portfolio_serves_all_corpus_race_queries() {
-    let verifier = Verifier::builder()
-        .max_nodes(3)
-        .valuations(1)
-        .parallel(true)
-        .build();
-    let reference = Verifier::builder().max_nodes(3).valuations(1).build();
-    for (name, program) in corpus::all() {
-        let portfolio = verifier.verify(Query::DataRace(&program));
-        let sequential = reference.verify(Query::DataRace(&program));
-        match (portfolio, sequential) {
-            (Ok(a), Ok(b)) => assert_eq!(
-                a.is_race_free(),
-                b.is_race_free(),
-                "{name}: parallel portfolio disagrees with sequential dispatch"
-            ),
-            (a, b) => panic!("{name}: {a:?} vs {b:?}"),
-        }
-    }
-}
-
-#[test]
 fn validity_queries_route_to_the_automata_engine_by_default() {
     let verifier = Verifier::with_defaults();
     let formula = Formula::exists_fo("x", Formula::Root(FoVar::new("x")));
