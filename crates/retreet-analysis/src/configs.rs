@@ -282,20 +282,18 @@ impl Default for SharedSymTab {
     }
 }
 
-/// The query-lifetime analysis state of one *program*: its lazily built
-/// [`PathSummaries`], the solver memo [`SolverCache`] its grounded systems
-/// are decided through, and the [`SharedSymTab`] that keeps those systems'
-/// symbols consistent.
+/// The analysis state of one *program* for one engine run: its block
+/// table and field set, its lazily built [`PathSummaries`], the solver memo
+/// [`SolverCache`] its grounded systems are decided through, and the
+/// [`SharedSymTab`] that keeps those systems' symbols consistent across the
+/// run's trees.
 ///
-/// Contexts are memoized process-wide, keyed by the program's canonical
-/// text: in the ROADMAP's serving scenario the same few programs are
-/// queried over and over, and everything in here is derived deterministic
-/// program state (like a compiled artifact) — *not* a verdict — so reusing
-/// it across queries is sound and turns the per-query setup cost into a
-/// one-time cost per distinct program.
+/// Each run builds its own context with [`AnalysisContext::new`]: a
+/// repeated query is a verdict-cache hit and never reaches the engines, so
+/// a context kept across runs would only hold memory.
 pub struct AnalysisContext {
     /// The program's block table.
-    pub table: Arc<BlockTable>,
+    pub table: BlockTable,
     /// Every field name the program's read/write sets mention (the fields
     /// test trees must initialize).
     pub fields: Vec<String>,
@@ -308,53 +306,17 @@ pub struct AnalysisContext {
 }
 
 impl AnalysisContext {
-    /// Builds a fresh context for `program` (not registered in the
-    /// process-wide memo).
-    pub fn new(program: &retreet_lang::ast::Program) -> Arc<Self> {
-        let table = Arc::new(BlockTable::build(program));
+    /// Builds the context for `program`.
+    pub fn new(program: &retreet_lang::ast::Program) -> Self {
+        let table = BlockTable::build(program);
         let fields = crate::race::program_fields(&table);
-        Arc::new(AnalysisContext {
+        AnalysisContext {
             table,
             fields,
             summaries: PathSummaries::new(),
             cache: SolverCache::new(),
             symtab: SharedSymTab::new(),
-        })
-    }
-
-    /// The memoized context for `program`.
-    ///
-    /// Keyed by the program's structural hash and verified by full AST
-    /// equality, so two programs share a context only when they *are* the
-    /// same program.  The registry is capacity-bounded: when it outgrows a
-    /// generous cap it is cleared wholesale, which only costs the next
-    /// query its setup work.
-    pub fn for_program(program: &retreet_lang::ast::Program) -> Arc<Self> {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        use std::sync::{Mutex, OnceLock};
-        type Bucket = Vec<(retreet_lang::ast::Program, Arc<AnalysisContext>)>;
-        static REGISTRY: OnceLock<Mutex<HashMap<u64, Bucket>>> = OnceLock::new();
-        const MAX_PROGRAMS: usize = 64;
-        let mut hasher = DefaultHasher::new();
-        program.hash(&mut hasher);
-        let key = hasher.finish();
-        let registry = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
-        let mut registry = registry.lock().expect("analysis registry poisoned");
-        if let Some(bucket) = registry.get(&key) {
-            if let Some((_, ctx)) = bucket.iter().find(|(p, _)| p == program) {
-                return Arc::clone(ctx);
-            }
         }
-        if registry.len() >= MAX_PROGRAMS {
-            registry.clear();
-        }
-        let ctx = AnalysisContext::new(program);
-        registry
-            .entry(key)
-            .or_default()
-            .push((program.clone(), Arc::clone(&ctx)));
-        ctx
     }
 }
 

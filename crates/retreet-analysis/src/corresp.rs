@@ -16,6 +16,12 @@
 //! successful match is sound for every tree and valuation.  Anything the
 //! matcher does not understand yields [`CorrespVerdict::NotApplicable`],
 //! and the caller falls back to a bounded engine.
+//!
+//! Claims are searched with backtracking: a complete match of a function
+//! body whose child entries fail is rolled back and the next claim choice
+//! is tried, within a fixed budget.  Parallel compositions are outside the
+//! fragment; the verifier matches a race-free parallel program through its
+//! sequential erasure ([`retreet_lang::rewrite::erase_par`]).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -197,6 +203,9 @@ struct MatchState {
 struct Scope {
     fused: Vec<Item>,
     roles: Vec<Vec<Item>>,
+    /// A function body rather than a conditional branch: its complete
+    /// matches discharge the child entries they collected.
+    body: bool,
 }
 
 /// Per-scope record of which role items each fused item absorbed.
@@ -209,6 +218,9 @@ type CallSlot = (usize, usize, Vec<usize>, Vec<Vec<Option<usize>>>);
 const MAX_ENTRIES: usize = 64;
 const MAX_DEPTH: usize = 32;
 const MAX_CALL_CANDIDATES: usize = 512;
+/// Complete matches whose child entries may fail before the search gives
+/// up (each failure rolls back and backtracks to the next claim choice).
+const MAX_BACKTRACKS: usize = 64;
 
 struct Verifier<'a> {
     original: &'a Program,
@@ -217,6 +229,7 @@ struct Verifier<'a> {
     proven: BTreeSet<EntryKey>,
     in_progress: Vec<EntryKey>,
     entries_verified: usize,
+    backtracks: usize,
 }
 
 impl<'a> Verifier<'a> {
@@ -229,6 +242,7 @@ impl<'a> Verifier<'a> {
             proven: BTreeSet::new(),
             in_progress: Vec::new(),
             entries_verified: 0,
+            backtracks: 0,
         }
     }
 
@@ -459,6 +473,9 @@ impl<'a> Verifier<'a> {
                 }
             }
             self.check_ordering(scope, &claims)?;
+            if scope.body {
+                self.discharge(&state.obligations)?;
+            }
             return Ok((state, claims));
         };
         match fused_item {
@@ -529,7 +546,11 @@ impl<'a> Verifier<'a> {
                             };
                         }
                     }
-                    Scope { fused, roles }
+                    Scope {
+                        fused,
+                        roles,
+                        body: false,
+                    }
                 };
                 let after_then = self.match_scope(&branch_scope(true), state)?;
                 let after_else = self.match_scope(&branch_scope(false), after_then)?;
@@ -799,7 +820,35 @@ impl<'a> Verifier<'a> {
         Err(last_err)
     }
 
+    /// Whether some fused item of the scope could claim `item` under any
+    /// variable correspondence — a necessary condition checked up front,
+    /// so a hopeless scope fails before its merge choices are enumerated.
+    fn claimable(item: &Item, scope: &Scope) -> bool {
+        scope.fused.iter().any(|fused| match (item, fused) {
+            (
+                Item::Assign(Assign::SetField(node, field, _)),
+                Item::Assign(Assign::SetField(fused_node, fused_field, _)),
+            ) => node == fused_node && field == fused_field,
+            (Item::Assign(Assign::SetVar(..)), Item::Assign(Assign::SetVar(..)))
+            | (Item::Ret(_), Item::Ret(_)) => true,
+            (Item::Call(call), Item::Call(fused_call)) => call.target == fused_call.target,
+            (Item::If(guard, _, _), Item::If(fused_guard, _, _)) => {
+                // Only a variable-free arithmetic guard is refuted here: it
+                // matches nothing but itself, under every correspondence.
+                let mut vars = BTreeSet::new();
+                bexpr_vars(guard, &mut vars);
+                guard == fused_guard || !vars.is_empty() || to_guard_expr(guard).is_some()
+            }
+            _ => false,
+        })
+    }
+
     fn match_scope(&mut self, scope: &Scope, state: MatchState) -> Result<MatchState, String> {
+        for (role, items) in scope.roles.iter().enumerate() {
+            if !items.iter().all(|item| Verifier::claimable(item, scope)) {
+                return Err(format!("pass {role} has unmatched actions"));
+            }
+        }
         let claimed = scope
             .roles
             .iter()
@@ -807,6 +856,25 @@ impl<'a> Verifier<'a> {
             .collect();
         let (state, _claims) = self.match_from(scope, 0, claimed, state, Vec::new())?;
         Ok(state)
+    }
+
+    /// Verifies the child entries of one complete body match.  A failure
+    /// rolls back every entry proven on the way — they may rest on this
+    /// match — so the caller can backtrack to its next claim choice.
+    fn discharge(&mut self, obligations: &[EntryKey]) -> Result<(), String> {
+        if self.backtracks >= MAX_BACKTRACKS {
+            return Err("correspondence backtracking budget exceeded".into());
+        }
+        let (proven, entries_verified) = (self.proven.clone(), self.entries_verified);
+        let result = obligations
+            .iter()
+            .try_for_each(|key| self.verify_entry(key));
+        if result.is_err() {
+            self.proven = proven;
+            self.entries_verified = entries_verified;
+            self.backtracks += 1;
+        }
+        result
     }
 
     fn verify_entry(&mut self, key: &EntryKey) -> Result<(), String> {
@@ -853,23 +921,18 @@ impl<'a> Verifier<'a> {
             role_items.push(body_items(&role_func.body)?);
             sigmas.push(sigma);
         }
+        let scope = Scope {
+            fused: fused_items,
+            roles: role_items,
+            body: true,
+        };
+        let state = MatchState {
+            sigmas,
+            owner: BTreeMap::new(),
+            obligations: Vec::new(),
+        };
         self.in_progress.push(key.clone());
-        let result = (|| {
-            let scope = Scope {
-                fused: fused_items,
-                roles: role_items,
-            };
-            let state = MatchState {
-                sigmas,
-                owner: BTreeMap::new(),
-                obligations: Vec::new(),
-            };
-            let state = self.match_scope(&scope, state)?;
-            for obligation in state.obligations {
-                self.verify_entry(&obligation)?;
-            }
-            Ok(())
-        })();
+        let result = self.match_scope(&scope, state).map(drop);
         self.in_progress.pop();
         if result.is_ok() {
             self.proven.insert(key.clone());
@@ -924,6 +987,8 @@ mod tests {
     use super::*;
     use retreet_lang::corpus;
     use retreet_lang::parser::parse_program;
+    use retreet_lang::rewrite::erase_par;
+    use retreet_lang::validate::program_has_parallelism;
 
     #[test]
     fn identical_programs_are_trivially_equivalent() {
@@ -976,6 +1041,65 @@ mod tests {
         let verdict =
             check_fusion_correspondence(&corpus::cycletree_original(), &corpus::cycletree_fused());
         assert!(verdict.is_established(), "got {verdict:?}");
+    }
+
+    /// The tuner's partial fusions of the three CSS passes: `[CV+MF][RI]`
+    /// (`leading_fused`) or `[CV][MF+RI]`, with the sibling recursive calls
+    /// sequential or in a `Par`.
+    fn css_partial_fusion(leading_fused: bool, parallel: bool) -> Program {
+        const CONVERT: &str = "if (n.kind > 0) { n.value = n.value - 1; }";
+        const FONT: &str = "if (n.prop > 0) { n.value = 400; }";
+        const INIT: &str = "if (n.initial > n.value) { n.value = 0; }";
+        let pass = |name: &str, actions: &[&str]| {
+            let (results, zeros) = match actions.len() {
+                1 => (["a", "b"], "0"),
+                _ => (["f0_a, f1_a", "f0_b, f1_b"], "0, 0"),
+            };
+            let left = format!("{} = {name}(n.l);", results[0]);
+            let right = format!("{} = {name}(n.r);", results[1]);
+            let recurse = if parallel {
+                format!("{{ {left} || {right} }}")
+            } else {
+                format!("{left} {right}")
+            };
+            format!(
+                "fn {name}(n) {{ if (n == nil) {{ return {zeros}; }} else {{ {recurse} {} \
+                 return {zeros}; }} }}\n",
+                actions.concat()
+            )
+        };
+        let source = if leading_fused {
+            pass("Fused_ConvertValues_MinifyFont", &[CONVERT, FONT])
+                + &pass("ReduceInit", &[INIT])
+                + "fn Main(n) { x, y = Fused_ConvertValues_MinifyFont(n); z = ReduceInit(n); \
+                   return 0; }"
+        } else {
+            pass("ConvertValues", &[CONVERT])
+                + &pass("Fused_MinifyFont_ReduceInit", &[FONT, INIT])
+                + "fn Main(n) { x = ConvertValues(n); y, z = Fused_MinifyFont_ReduceInit(n); \
+                   return 0; }"
+        };
+        parse_program(&source).unwrap()
+    }
+
+    #[test]
+    fn partial_css_fusions_are_established_in_both_schedules() {
+        // A leading unfused pass must not be merged with its successors
+        // just because the call shapes allow it: the matcher backtracks
+        // when the merged entry fails.
+        for leading_fused in [true, false] {
+            for parallel in [false, true] {
+                let candidate = css_partial_fusion(leading_fused, parallel);
+                assert_eq!(program_has_parallelism(&candidate), parallel);
+                let sequential = erase_par(&candidate).expect("the sibling calls share no local");
+                let verdict =
+                    check_fusion_correspondence(&corpus::css_minify_original(), &sequential);
+                assert!(
+                    matches!(verdict, CorrespVerdict::Established { entries: 3 }),
+                    "leading_fused={leading_fused} parallel={parallel}: {verdict:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -180,10 +180,8 @@ pub fn check_equivalence_cancellable(
     options: &EquivOptions,
     cancel: &AtomicBool,
 ) -> Option<EquivVerdict> {
-    // Per-program derived state (block table, field sets) is memoized
-    // process-wide; a repeated query pays only for the actual runs.
-    let ctx_a = crate::configs::AnalysisContext::for_program(original);
-    let ctx_b = crate::configs::AnalysisContext::for_program(transformed);
+    let ctx_a = crate::configs::AnalysisContext::new(original);
+    let ctx_b = crate::configs::AnalysisContext::new(transformed);
     // Test trees must initialize the union of both programs' fields so that
     // reads observe the same initial values on both sides.
     let mut fields = ctx_a.fields.clone();

@@ -156,10 +156,10 @@ pub fn program_fields(table: &BlockTable) -> Vec<String> {
 
 /// The configuration-based data-race check (Theorem 2, bounded).
 ///
-/// The hot path shares the program's [`AnalysisContext`] — tree-independent
-/// path summaries, the solver memo cache, and the symbol table that keeps
-/// constraint symbols consistent between trees (and between repeated
-/// queries on the same program) — and walks both the tree loop and the
+/// The hot path shares one [`AnalysisContext`] across the run's trees —
+/// tree-independent path summaries, the solver memo cache, and the symbol
+/// table that keeps constraint symbols consistent between trees — and
+/// walks both the tree loop and the
 /// configuration-pair loop in parallel with deterministic
 /// first-witness-wins selection (lowest tree index, then lexicographically
 /// lowest pair), so the verdict and witness are identical to the sequential
@@ -181,8 +181,8 @@ pub fn check_data_race_cancellable(
     options: &RaceOptions,
     cancel: &AtomicBool,
 ) -> Option<RaceVerdict> {
-    let ctx = AnalysisContext::for_program(program);
-    let table = &*ctx.table;
+    let ctx = AnalysisContext::new(program);
+    let table = &ctx.table;
     let field_refs: Vec<&str> = ctx.fields.iter().map(String::as_str).collect();
     let corpus = TreeCorpus::with_arity(
         program.arity,

@@ -17,7 +17,7 @@
 //! * `--batches N` / `--per-batch N` — timing loop shape (overrides the
 //!   budget's defaults, best-of-batches).
 //!
-//! The process fails on three regressions, none of which is a performance
+//! The process fails on four regressions, none of which is a performance
 //! number:
 //!
 //! * **drift** — the winning schedule's VM run diverges from the original
@@ -25,7 +25,9 @@
 //! * **baseline regression** — a tuned cost above
 //!   best-of{original, canonical fusion}, violating the tuner's guarantee;
 //! * **missing certificate** — a winner whose verdict lacks engine or
-//!   soundness provenance.
+//!   soundness provenance;
+//! * **weak certificate** — a certified candidate whose equivalence or
+//!   race-freedom certificate is weaker than `unbounded`.
 
 use retreet_bench::{measure_tune, render_tune_report, tune_report_to_json, Budget};
 use retreet_transform::TuneOptions;
@@ -148,6 +150,13 @@ fn main() {
             eprintln!(
                 "bench_tune: {} winner carries no certificate provenance",
                 row.id
+            );
+            failed = true;
+        }
+        for candidate in row.table.iter().filter(|c| c.has_bounded_certificate()) {
+            eprintln!(
+                "bench_tune: {} candidate {} is certified only up to a node bound",
+                row.id, candidate.label
             );
             failed = true;
         }

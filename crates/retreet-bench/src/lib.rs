@@ -24,7 +24,7 @@
 
 use retreet_analysis::coarse;
 use retreet_lang::corpus;
-use retreet_verify::{Outcome, Query, Verifier};
+use retreet_verify::{Engine, Outcome, Query, Soundness, Verifier};
 
 /// The verdict of one experiment, in the vocabulary of §5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1074,6 +1074,23 @@ pub struct TuneCandidateSummary {
     pub seconds: Option<f64>,
     /// The refusal or measurement-failure reason (empty when measured).
     pub detail: String,
+    /// Engine and soundness of the equivalence certificate (certified
+    /// candidates only).
+    pub equivalence: Option<(Engine, Soundness)>,
+    /// Engine and soundness of the race-freedom certificate (certified
+    /// parallel candidates only).
+    pub race: Option<(Engine, Soundness)>,
+}
+
+impl TuneCandidateSummary {
+    /// True when one of the candidate's certificates rests on a bounded
+    /// search — a weakened guarantee that fails `bench_tune`.
+    pub fn has_bounded_certificate(&self) -> bool {
+        [self.equivalence, self.race]
+            .iter()
+            .flatten()
+            .any(|(_, soundness)| *soundness != Soundness::Unbounded)
+    }
 }
 
 /// One row of the tune report: the autotuner run end-to-end on one §5
@@ -1192,17 +1209,25 @@ pub fn measure_tune(
                 .candidates
                 .iter()
                 .map(|candidate| match &candidate.status {
-                    CandidateStatus::Certified { cost, .. } => TuneCandidateSummary {
+                    CandidateStatus::Certified {
+                        equivalence,
+                        race,
+                        cost,
+                    } => TuneCandidateSummary {
                         label: candidate.label.clone(),
                         certified: true,
                         seconds: cost.as_ref().ok().copied(),
                         detail: cost.as_ref().err().cloned().unwrap_or_default(),
+                        equivalence: Some((equivalence.engine, equivalence.soundness)),
+                        race: race.as_ref().map(|race| (race.engine, race.soundness)),
                     },
                     CandidateStatus::Refused(reason) => TuneCandidateSummary {
                         label: candidate.label.clone(),
                         certified: false,
                         seconds: None,
                         detail: reason.to_string(),
+                        equivalence: None,
+                        race: None,
                     },
                 })
                 .collect();
@@ -1272,8 +1297,17 @@ pub fn render_tune_report(rows: &[TuneReportRow]) -> String {
             row.id, row.winner_label, row.winner_kind, row.winner_engine, row.winner_soundness
         ));
         for candidate in &row.table {
+            let certificates: Vec<String> = [
+                ("equivalence", candidate.equivalence),
+                ("race", candidate.race),
+            ]
+            .into_iter()
+            .filter_map(|(kind, certificate)| {
+                certificate.map(|(engine, soundness)| format!("{kind}: {engine}/{soundness}"))
+            })
+            .collect();
             out.push_str(&format!(
-                "  {:<48} {:>10} {:>12}{}\n",
+                "  {:<48} {:>10} {:>12}{}{}\n",
                 candidate.label,
                 if candidate.certified {
                     "certified"
@@ -1284,6 +1318,11 @@ pub fn render_tune_report(rows: &[TuneReportRow]) -> String {
                     .seconds
                     .map(|s| format!("{:.4} ms", s * 1e3))
                     .unwrap_or_else(|| String::from("-")),
+                if certificates.is_empty() {
+                    String::new()
+                } else {
+                    format!("  [{}]", certificates.join("; "))
+                },
                 if candidate.detail.is_empty() {
                     String::new()
                 } else {
@@ -1296,14 +1335,14 @@ pub fn render_tune_report(rows: &[TuneReportRow]) -> String {
 }
 
 /// Serializes the tune report to the `BENCH_tune.json` document (schema
-/// `retreet-bench-tune/v1`; format in `crates/README.md`).
+/// `retreet-bench-tune/v2`; format in `crates/README.md`).
 pub fn tune_report_to_json(
     label: &str,
     budget: &Budget,
     options: &retreet_transform::TuneOptions,
     rows: &[TuneReportRow],
 ) -> String {
-    let mut out = String::from("{\n  \"schema\": \"retreet-bench-tune/v1\",\n");
+    let mut out = String::from("{\n  \"schema\": \"retreet-bench-tune/v2\",\n");
     out.push_str(
         "  \"methodology\": \"retreet-transform::tune over each family's Main pass run: \
          contiguous partial-fusion groupings x schedule variants, certified in one \
@@ -1325,6 +1364,15 @@ pub fn tune_report_to_json(
         options.batches,
         options.per_batch,
     ));
+    // A certificate's engine and soundness as JSON values, `null` when the
+    // candidate has no such certificate.
+    let provenance = |certificate: Option<(Engine, Soundness)>| match certificate {
+        Some((engine, soundness)) => (
+            format!("\"{}\"", json_escape(engine.name())),
+            format!("\"{}\"", json_escape(&soundness.to_string())),
+        ),
+        None => (String::from("null"), String::from("null")),
+    };
     out.push_str("  \"experiments\": [\n");
     for (i, row) in rows.iter().enumerate() {
         out.push_str(&format!(
@@ -1353,8 +1401,12 @@ pub fn tune_report_to_json(
             row.drift,
         ));
         for (j, candidate) in row.table.iter().enumerate() {
+            let (engine, soundness) = provenance(candidate.equivalence);
+            let (race_engine, race_soundness) = provenance(candidate.race);
             out.push_str(&format!(
                 "        {{ \"label\": \"{}\", \"certified\": {}, \"seconds\": {}, \
+                 \"engine\": {engine}, \"soundness\": {soundness}, \
+                 \"race_engine\": {race_engine}, \"race_soundness\": {race_soundness}, \
                  \"detail\": \"{}\" }}{}\n",
                 json_escape(&candidate.label),
                 candidate.certified,
@@ -1851,6 +1903,18 @@ mod tests {
             assert_eq!(row.candidates, row.certified + row.refused, "{}", row.id);
             assert_eq!(row.winner_kind, "equivalence", "{}", row.id);
             assert!(!row.winner_engine.is_empty() && !row.winner_soundness.is_empty());
+            // Every certified candidate, parallel schedules included, is
+            // certified unbounded.
+            for candidate in row.table.iter().filter(|c| c.certified) {
+                assert!(
+                    !candidate.has_bounded_certificate(),
+                    "{}: {} {:?} {:?}",
+                    row.id,
+                    candidate.label,
+                    candidate.equivalence,
+                    candidate.race
+                );
+            }
         }
         // The cycletree family refuses its racy parallel-passes candidate
         // and keeps it in the table.
@@ -1861,7 +1925,8 @@ mod tests {
             .iter()
             .any(|c| !c.certified && c.detail.contains("data race")));
         let json = tune_report_to_json("quick", &budget, &options, &rows);
-        assert!(json.contains("\"schema\": \"retreet-bench-tune/v1\""));
+        assert!(json.contains("\"schema\": \"retreet-bench-tune/v2\""));
+        assert!(json.contains("\"race_soundness\": \"unbounded\""));
         assert!(json.contains("\"beats_canonical_fusion\""));
         assert!(json.contains("\"tuned_speedup\""));
         let table = render_tune_report(&rows);

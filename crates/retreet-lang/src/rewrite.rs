@@ -45,46 +45,58 @@ pub fn fresh_name(base: &str, used: &mut HashSet<String>) -> String {
 /// names are excluded — fields are shared tree state, not locals.
 pub fn local_names(func: &Func) -> BTreeSet<Ident> {
     let mut names: BTreeSet<Ident> = func.int_params.iter().cloned().collect();
-    collect_stmt_locals(&func.body, &mut names);
+    let mut writes = BTreeSet::new();
+    collect_local_accesses(&func.body, &mut names, &mut writes);
+    names.extend(writes);
     names
 }
 
-fn collect_stmt_locals(stmt: &Stmt, names: &mut BTreeSet<Ident>) {
+/// Collects the locals a statement reads (including its returned values)
+/// and writes (`SetVar` targets and call results).
+fn collect_local_accesses(stmt: &Stmt, reads: &mut BTreeSet<Ident>, writes: &mut BTreeSet<Ident>) {
     match stmt {
         Stmt::Block(block) => match &block.kind {
             BlockKind::Call(call) => {
-                names.extend(call.results.iter().cloned());
+                writes.extend(call.results.iter().cloned());
                 for arg in &call.args {
-                    collect_aexpr_locals(arg, names);
+                    collect_aexpr_locals(arg, reads);
                 }
             }
             BlockKind::Straight(straight) => {
                 for assign in &straight.assigns {
                     match assign {
                         Assign::SetVar(var, value) => {
-                            names.insert(var.clone());
-                            collect_aexpr_locals(value, names);
+                            writes.insert(var.clone());
+                            collect_aexpr_locals(value, reads);
                         }
-                        Assign::SetField(_, _, value) => collect_aexpr_locals(value, names),
+                        Assign::SetField(_, _, value) => collect_aexpr_locals(value, reads),
                     }
                 }
-                if let Some(ret) = &straight.ret {
-                    for value in ret {
-                        collect_aexpr_locals(value, names);
-                    }
+                for value in straight.ret.iter().flatten() {
+                    collect_aexpr_locals(value, reads);
                 }
             }
         },
         Stmt::If(cond, then_branch, else_branch) => {
-            collect_bexpr_locals(cond, names);
-            collect_stmt_locals(then_branch, names);
-            collect_stmt_locals(else_branch, names);
+            collect_bexpr_locals(cond, reads);
+            collect_local_accesses(then_branch, reads, writes);
+            collect_local_accesses(else_branch, reads, writes);
         }
         Stmt::Seq(items) | Stmt::Par(items) => {
             for item in items {
-                collect_stmt_locals(item, names);
+                collect_local_accesses(item, reads, writes);
             }
         }
+    }
+}
+
+fn contains_return(stmt: &Stmt) -> bool {
+    match stmt {
+        Stmt::Block(block) => block.as_straight().is_some_and(|s| s.ret.is_some()),
+        Stmt::If(_, then_branch, else_branch) => {
+            contains_return(then_branch) || contains_return(else_branch)
+        }
+        Stmt::Seq(items) | Stmt::Par(items) => items.iter().any(contains_return),
     }
 }
 
@@ -310,6 +322,65 @@ pub fn normalize_func(func: &Func) -> Func {
 /// call binds at least one result, which the grammar requires anyway).
 pub fn normalize_program(program: &Program) -> Program {
     program.with_funcs(program.funcs.iter().map(normalize_func).collect())
+}
+
+/// Rewrites every parallel composition into the sequential composition of
+/// its branches, in syntactic order, then normalizes: the sequential
+/// program a data-race-free parallel program behaves like (Theorem 2).
+///
+/// `None` where the rewrite would not be exact:
+///
+/// * a branch contains a `return` — `Par` keeps the last branch's return,
+///   `Seq` stops at the first;
+/// * a branch writes a local that a sibling branch reads or writes — the
+///   race analysis sees only tree fields (locals are activation-local), so
+///   race-freedom says nothing about such a pair.
+pub fn erase_par(program: &Program) -> Option<Program> {
+    let funcs = program
+        .funcs
+        .iter()
+        .map(|func| {
+            Some(Func {
+                body: erase_stmt(&func.body)?,
+                ..func.clone()
+            })
+        })
+        .collect::<Option<Vec<Func>>>()?;
+    Some(normalize_program(&program.with_funcs(funcs)))
+}
+
+fn erase_stmt(stmt: &Stmt) -> Option<Stmt> {
+    Some(match stmt {
+        Stmt::Block(_) => stmt.clone(),
+        Stmt::If(cond, then_branch, else_branch) => Stmt::if_else(
+            cond.clone(),
+            erase_stmt(then_branch)?,
+            erase_stmt(else_branch)?,
+        ),
+        Stmt::Seq(items) => Stmt::Seq(items.iter().map(erase_stmt).collect::<Option<_>>()?),
+        Stmt::Par(branches) => {
+            if branches.iter().any(contains_return) {
+                return None;
+            }
+            let locals: Vec<_> = branches
+                .iter()
+                .map(|branch| {
+                    let (mut reads, mut writes) = (BTreeSet::new(), BTreeSet::new());
+                    collect_local_accesses(branch, &mut reads, &mut writes);
+                    (reads, writes)
+                })
+                .collect();
+            for (i, (_, writes)) in locals.iter().enumerate() {
+                let shared = locals.iter().enumerate().any(|(j, (reads, other))| {
+                    i != j && !(writes.is_disjoint(reads) && writes.is_disjoint(other))
+                });
+                if shared {
+                    return None;
+                }
+            }
+            Stmt::Seq(branches.iter().map(erase_stmt).collect::<Option<_>>()?)
+        }
+    })
 }
 
 /// Drops every function unreachable from `Main` (call-graph reachability),
@@ -619,6 +690,42 @@ mod tests {
             let reparsed = parse_program(&printed).expect("printed program parses");
             assert_eq!(reparsed, normalized, "{name} roundtrips");
         }
+    }
+
+    #[test]
+    fn erasing_par_yields_the_sequential_corpus_forms() {
+        let pairs = [
+            (
+                corpus::size_counting_parallel(),
+                corpus::size_counting_sequential(),
+            ),
+            (
+                corpus::ternary_sum_parallel(),
+                corpus::ternary_sum_sequential(),
+            ),
+            (corpus::cycletree_parallel(), corpus::cycletree_original()),
+        ];
+        for (parallel, sequential) in pairs {
+            assert_eq!(erase_par(&parallel), Some(sequential.clone()));
+            assert_eq!(erase_par(&sequential), Some(sequential));
+        }
+    }
+
+    #[test]
+    fn erasing_par_refuses_branch_returns_and_shared_locals() {
+        let erase = |main: &str| {
+            let source = format!("fn Leaf(n) {{ return 1; }}\nfn Main(n) {{\n{main}\n}}");
+            erase_par(&parse_program(&source).expect("test program parses"))
+        };
+        // Disjoint locals erase; a local read after the `Par` is fine.
+        assert!(erase("{ a = Leaf(n); || b = Leaf(n); } return a + b;").is_some());
+        // `Par` is last-return-wins, `Seq` first-return-wins.
+        assert_eq!(erase("{ a = Leaf(n); || return 2; } return a;"), None);
+        // Write-write and write-read sharing across siblings.
+        assert_eq!(erase("{ a = Leaf(n); || a = Leaf(n); } return a;"), None);
+        assert_eq!(erase("{ a = Leaf(n); || b = a + 1; } return b;"), None);
+        // Sibling reads of the same local are not a conflict.
+        assert!(erase("k = 1; { a = k + 1; || b = k + 2; } return a + b;").is_some());
     }
 
     #[test]

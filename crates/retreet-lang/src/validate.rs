@@ -224,6 +224,11 @@ pub fn has_parallelism(stmt: &Stmt) -> bool {
     }
 }
 
+/// [`has_parallelism`] over every function of a program.
+pub fn program_has_parallelism(program: &Program) -> bool {
+    program.funcs.iter().any(|func| has_parallelism(&func.body))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

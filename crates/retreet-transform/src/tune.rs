@@ -66,7 +66,7 @@ use std::ops::Range;
 use retreet_lang::ast::{Block, CallBlock, Func, Program, Stmt, MAIN};
 use retreet_lang::pretty::print_program;
 use retreet_lang::rewrite;
-use retreet_lang::validate::{has_parallelism, validate};
+use retreet_lang::validate::{program_has_parallelism, validate};
 use retreet_verify::{Outcome, Query, Verdict, Verifier};
 
 use crate::fusion::{find_fusable_run, FusionBuilder};
@@ -556,12 +556,7 @@ pub fn tune(
         if let Ok(construction) = entry {
             queries.push(Query::Equivalence(program, &construction.program));
             slots.push((index, Role::Equivalence));
-            if construction
-                .program
-                .funcs
-                .iter()
-                .any(|f| has_parallelism(&f.body))
-            {
+            if program_has_parallelism(&construction.program) {
                 queries.push(Query::DataRace(&construction.program));
                 slots.push((index, Role::Race));
             }
@@ -725,7 +720,6 @@ pub fn tune(
 mod tests {
     use super::*;
     use retreet_lang::corpus;
-    use retreet_lang::validate::has_parallelism;
 
     fn verifier() -> Verifier {
         Verifier::builder()
@@ -912,11 +906,7 @@ mod tests {
             .filter_map(|entry| entry.as_ref().ok())
             .find(|c| c.schedule == ScheduleKind::ParallelRecursion)
             .expect("sibling recursion parallelizes");
-        assert!(par_rec
-            .program
-            .funcs
-            .iter()
-            .any(|f| has_parallelism(&f.body)));
+        assert!(program_has_parallelism(&par_rec.program));
     }
 
     #[test]

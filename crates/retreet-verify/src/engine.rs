@@ -13,7 +13,9 @@
 //! * [`Engine::Automata`] — the Thatcher–Wright compilation to tree
 //!   automata, *unbounded* on the fragment it covers (all three query
 //!   kinds: validity directly, races via the structural access-summary
-//!   analysis, equivalence via the fusion-correspondence matcher),
+//!   analysis, equivalence via the fusion-correspondence matcher — on a
+//!   parallel side after erasing its race-free `Par`s to their sequential
+//!   order, Theorem 2),
 //! * [`Engine::BoundedEnumeration`] — exhaustive model enumeration up to a
 //!   node bound (validity queries).
 //!
@@ -22,6 +24,7 @@
 //! `Equivalent`) and otherwise skips, so a race witness always comes from
 //! [`Engine::Configuration`] and a counterexample from [`Engine::Trace`].
 
+use std::borrow::Cow;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,6 +36,9 @@ use retreet_analysis::race::{
     check_data_race_cancellable, check_data_race_dynamic_cancellable, RaceOptions, RaceVerdict,
 };
 use retreet_analysis::summary::{structural_race_analysis, StructuralRaceAnalysis};
+use retreet_lang::ast::Program;
+use retreet_lang::rewrite::erase_par;
+use retreet_lang::validate::program_has_parallelism;
 use retreet_mso::bounded::{check_validity_cancellable, BoundedVerdict};
 use retreet_mso::compile;
 use retreet_store::fault::{FaultPlan, FaultSite, InjectedFault};
@@ -52,9 +58,13 @@ pub enum Engine {
     /// The unbounded tree-automata engine — the reproduction's stand-in
     /// for MONA.  Answers validity queries on the core fragment directly,
     /// proves race-freedom through the structural access-summary analysis
-    /// and equivalence through the fusion-correspondence matcher.  A race
-    /// or equivalence query it cannot prove is skipped, never searched: the
-    /// bounded engines own those searches and their witnesses.
+    /// and equivalence through the fusion-correspondence matcher.  When a
+    /// pair has a parallel side and does not correspond as written, each
+    /// `Par` side that erases exactly ([`erase_par`]) and is structurally
+    /// race-free stands for its erasure (Theorem 2), and the erased pair
+    /// is matched instead.  A race or equivalence query it cannot prove is
+    /// skipped, never searched: the bounded engines own those searches and
+    /// their witnesses.
     Automata,
     /// Bounded validity by exhaustive model enumeration.
     BoundedEnumeration,
@@ -246,8 +256,7 @@ fn run_engine_inner(
             }
         }
         (Engine::Automata, Query::Equivalence(original, transformed)) => {
-            if check_fusion_correspondence(original, transformed).is_established()
-                || check_fusion_correspondence(transformed, original).is_established()
+            if corresponds(original, transformed) || erased_pair_corresponds(original, transformed)
             {
                 answer((
                     Outcome::Equivalent { trees_checked: 0 },
@@ -332,6 +341,37 @@ fn run_engine_inner(
         }
         _ => skip(engine, "engine/query pairing not implemented"),
     }
+}
+
+/// The fusion-correspondence matcher, tried in both directions.
+fn corresponds(a: &Program, b: &Program) -> bool {
+    check_fusion_correspondence(a, b).is_established()
+        || check_fusion_correspondence(b, a).is_established()
+}
+
+/// The second unbounded equivalence proof, for pairs with a parallel side:
+/// the pair's sequential forms correspond.
+fn erased_pair_corresponds(original: &Program, transformed: &Program) -> bool {
+    if !program_has_parallelism(original) && !program_has_parallelism(transformed) {
+        return false;
+    }
+    match (sequential_form(original), sequential_form(transformed)) {
+        (Some(a), Some(b)) => corresponds(&a, &b),
+        _ => false,
+    }
+}
+
+/// The sequential program `program` behaves like: itself without `Par`;
+/// with `Par`, its exact erasure when the structural race analysis proves
+/// it race-free (Theorem 2).  `None` when neither applies.
+fn sequential_form(program: &Program) -> Option<Cow<'_, Program>> {
+    if !program_has_parallelism(program) {
+        return Some(Cow::Borrowed(program));
+    }
+    let erased = erase_par(program)?;
+    structural_race_analysis(program)
+        .is_race_free()
+        .then_some(Cow::Owned(erased))
 }
 
 fn answer((outcome, soundness): (Outcome, Soundness)) -> EngineAnswer {

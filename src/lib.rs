@@ -79,10 +79,11 @@
 //! | mutating `RaceOptions` / `EquivOptions` / `EnumOptions` fields | `RaceOptions::builder()…build()` etc., or set the budget once on the `Verifier` builder |
 //! | repeated `Solver::check(&growing_system)` along a search | [`retreet_logic::IncrementalSolver`]: `push()` / `assume_all(&new_atoms)` / `check()` / `pop()` over a shared [`retreet_logic::SolverCache`] — the SAT prefix is never re-solved and a cached-UNSAT prefix prunes the extension outright |
 //! | `Solver::check` on systems that repeat across a query | `Solver::check_cached(&system, &cache)` (component-decomposed memoization keyed by [`retreet_logic::intern`]-ed atom ids) |
-//! | per-query `BlockTable::build` + re-summarized paths | `retreet_analysis::AnalysisContext::for_program(&p)` — block table, field sets, lazy path summaries, solver cache and symbol table, memoized process-wide per program |
+//! | per-query `BlockTable::build` + re-summarized paths | `retreet_analysis::AnalysisContext::new(&p)` — block table, field sets, lazy path summaries, solver cache and symbol table, built once per engine run and shared by all of its trees |
+//! | `retreet_analysis::AnalysisContext::for_program(&p)` (memoized process-wide per program) | **removed**: call `AnalysisContext::new(&p)` once per run (it now returns the context itself, not an `Arc`).  A repeated query is a verdict-cache hit, so the registry only held memory — and its lock while a context was built |
 //! | the seed (pre-optimization) engine behaviour | preserved verbatim in `retreet_analysis::naive` (differential tests and the `bench_engines` "before" column only) |
 //! | `CacheStats { hits, misses, entries }` | gains `collisions` (an insert that found a same-key, different-subjects resident; the resident entry is kept, never evicted by the collider, and the lookup side stays a plain miss so `hits + misses == lookups` always) — exhaustive-match constructors must add the field |
-//! | `Engine::Automata.supports(kind)` == `false` for `DataRace` / `Equivalence` | **now `true` for all three query kinds**: the automata engine proves race-freedom through the structural access-summary analysis and equivalence through the fusion-correspondence matcher, both at `Soundness::Unbounded`; code that assumed `verify_with_engine(Engine::Automata, Query::DataRace(..))` errors with `NoApplicableEngine` must handle a verdict (the engine still *skips* every race or equivalence query it cannot prove: a structural race candidate, a non-corresponding pair) |
+//! | `Engine::Automata.supports(kind)` == `false` for `DataRace` / `Equivalence` | **now `true` for all three query kinds**: the automata engine proves race-freedom through the structural access-summary analysis and equivalence through the fusion-correspondence matcher — for a pair with a parallel side, after erasing each race-free `Par` to its sequential order (`retreet_lang::rewrite::erase_par`) — both at `Soundness::Unbounded`; code that assumed `verify_with_engine(Engine::Automata, Query::DataRace(..))` errors with `NoApplicableEngine` must handle a verdict (the engine still *skips* every race or equivalence query it cannot prove: a structural race candidate, a non-corresponding pair) |
 //! | asserting `verdict.engine == Engine::Trace` (or `trees_checked() > 0`) on §5 race/equivalence portfolio verdicts | the default portfolio now answers the positive ones with `Engine::Automata`, `Soundness::Unbounded`, and `trees_checked() == 0` (no model enumeration backs an unbounded answer; for the negative ones see the provenance row below); pin `.engines([Engine::Configuration])` / `[Engine::Trace]` to keep exercising the bounded tiers, or assert on `verdict.soundness` instead of the model count |
 //! | re-verifying to strengthen a cached bounded verdict | the cache upgrades in place: an unbounded verdict replaces a resident `BoundedUpTo` entry for the same key, and a bounded re-run never downgrades a resident unbounded (or wider-bounded) verdict — `Soundness::covers` is the replacement criterion |
 //! | `Verdict { outcome, engine, soundness, elapsed, cached }` | gains `coalesced: bool` (the verdict was adopted from an identical in-flight query's single engine run) |
@@ -119,6 +120,7 @@
 //! | `VerifierBuilder::enumeration(EnumOptions)` | **removed** (no caller): the race engines use `EnumOptions::default()`.  Custom limits go through `retreet_analysis::race::check_data_race` with `RaceOptions::builder().enumeration(…)` |
 //! | `EngineConfig { …, check_dependence_order, enumeration }` | `EngineConfig { race_nodes, equiv_nodes, validity_nodes, valuations }`.  The config is hashed into every cache key, so a verdict store persisted by an older build misses once per query and is then rewritten; the record format is unchanged |
 //! | `rayon::spawn` (the in-tree shim) | **removed** (its only caller was the parallel portfolio): use `rayon::scope` + `Scope::spawn`, or `rayon::join` |
+//! | `Engine::Trace` / `Soundness::BoundedUpTo` on the equivalence of a sequential program and its race-free parallel schedule (e.g. `ternary_sum_sequential` vs `ternary_sum_parallel`, the tuner's `par-passes` / `par-rec` candidates) | `Engine::Automata` / `Soundness::Unbounded` with `trees_checked() == 0`: a `Par` side that erases exactly and is structurally race-free is proved through its erasure (Theorem 2).  A racy `Par` side, a branch that returns or a local shared between branches still leaves the pair to `Engine::Trace` |
 //! | `verdict.engine == Engine::Automata` on a race witness or an equivalence counterexample | negative race and equivalence verdicts now come from the engine that owns the bounded search: races from `Engine::Configuration` (or `Engine::Trace` when the portfolio omits it), counterexamples from `Engine::Trace`.  The automata engine skips instead of running that search itself, so the witness bytes and `Soundness::Unbounded` are unchanged, and a racy or non-equivalent dispatch counts two engine runs (the automata skip, then the owner's answer) instead of one |
 //!
 //! # Benchmarks
@@ -161,14 +163,16 @@
 //! drift.
 //!
 //! `cargo run --release -p retreet-bench --bin bench_tune` writes
-//! `BENCH_tune.json` (schema `retreet-bench-tune/v1`): the certified
+//! `BENCH_tune.json` (schema `retreet-bench-tune/v2`): the certified
 //! schedule autotuner run on all five §5 families (E1, E2, E3, E4a,
 //! E5) — the full scored
-//! candidate table (certified schedules with measured VM seconds,
-//! refusals with their witnesses), both baselines, and the winner with
-//! its certificate provenance.  CI runs it in quick mode and fails on
-//! drift, on a tuned cost above best-of{original, canonical fusion},
-//! and on a winner without certificate provenance.
+//! candidate table (certified schedules with measured VM seconds and
+//! their certificates' engine and soundness, refusals with their
+//! witnesses), both baselines, and the winner with its certificate
+//! provenance.  CI runs it in quick mode and fails on drift, on a tuned
+//! cost above best-of{original, canonical fusion}, on a winner without
+//! certificate provenance, and on a certified candidate whose
+//! equivalence or race-freedom certificate is weaker than unbounded.
 //!
 //! Old verdict shapes map to [`retreet_verify::Outcome`] variants: race
 //! witnesses, equivalence counterexamples and falsifying trees ride along

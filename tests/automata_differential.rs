@@ -16,6 +16,11 @@
 //! layer generates, and 100+ proptest-randomized programs under
 //! randomized budgets.
 //!
+//! A pair with a parallel side is proved by `Par` erasure (Theorem 2):
+//! every automata positive on such a pair must rest on a `RaceFree`
+//! structural verdict, and a racy side, a branch that returns or a local
+//! shared between branches must leave the pair to `Engine::Trace`.
+//!
 //! One owner per bounded search: the automata engine only answers what it
 //! proves (`RaceFree`, `Equivalent`) and skips everything else — a skip is
 //! legal for any query, and `verify_with_engine` surfaces it as
@@ -30,10 +35,15 @@ use proptest::test_runner::TestRng;
 use retreet_analysis::equiv::{EquivOptions, EquivVerdict};
 use retreet_analysis::naive;
 use retreet_analysis::race::{RaceOptions, RaceVerdict};
+use retreet_analysis::summary::structural_race_analysis;
 use retreet_lang::ast::Program;
 use retreet_lang::corpus;
 use retreet_lang::parser::parse_program;
-use retreet_transform::{fuse_main_passes, parallelize_recursive_calls, synthesize_parallel_main};
+use retreet_lang::validate::program_has_parallelism;
+use retreet_transform::{
+    fuse_main_passes, parallelize_recursive_calls, synthesize_parallel_main, tune, CandidateStatus,
+    ScheduleKind, TransformError, TuneOptions,
+};
 use retreet_verify::{Engine, Query, Soundness, Verifier, VerifyError};
 
 /// One race query, all four race procedures, zero tolerated drift.
@@ -121,13 +131,14 @@ fn assert_race_agreement(label: &str, program: &Program, max_nodes: usize, valua
 }
 
 /// One equivalence query, all three equivalence procedures, zero drift.
+/// Returns whether the automata engine proved the pair.
 fn assert_equivalence_agreement(
     label: &str,
     original: &Program,
     transformed: &Program,
     max_nodes: usize,
     valuations: usize,
-) {
+) -> bool {
     let verifier = Verifier::builder()
         .equiv_nodes(max_nodes)
         .valuations(valuations)
@@ -149,7 +160,9 @@ fn assert_equivalence_agreement(
         "{label}: naive and trace equivalence engines drifted"
     );
 
-    match verifier.verify_with_engine(Engine::Automata, Query::Equivalence(original, transformed)) {
+    let proved = match verifier
+        .verify_with_engine(Engine::Automata, Query::Equivalence(original, transformed))
+    {
         Ok(by_automata) => {
             // The automata engine only proves equivalence, unbounded; a
             // counterexample it must leave to the trace engine.
@@ -167,11 +180,26 @@ fn assert_equivalence_agreement(
                 "{label}: automata proved equivalence, trace said {:?}",
                 by_trace.outcome
             );
+            // A parallel side is only ever proved through its erasure,
+            // which needs an unbounded race-freedom verdict (identical
+            // programs are equivalent whatever they race on).
+            if original != transformed {
+                for side in [original, transformed]
+                    .into_iter()
+                    .filter(|p| program_has_parallelism(p))
+                {
+                    assert!(
+                        structural_race_analysis(side).is_race_free(),
+                        "{label}: a parallel side was proved without a race-freedom verdict"
+                    );
+                }
+            }
+            true
         }
         // A skip is legal for any query: the trace engine answers it.
-        Err(VerifyError::NoApplicableEngine { .. }) => {}
+        Err(VerifyError::NoApplicableEngine { .. }) => false,
         Err(other) => panic!("{label}: automata engine failed: {other}"),
-    }
+    };
 
     // The default portfolio's counterexample is the trace engine's, byte
     // for byte and unbounded.
@@ -194,6 +222,7 @@ fn assert_equivalence_agreement(
             "{label}: portfolio and trace counterexamples differ"
         );
     }
+    proved
 }
 
 // ---------------------------------------------------------------------------
@@ -338,30 +367,30 @@ fn random_pass(name: &str, other: &str, rng: &mut TestRng) -> String {
     )
 }
 
-/// A random two-pass program with the given `Main` composition.
-fn random_program(seed: u64, parallel: bool) -> Program {
+/// The two passes run one after the other.
+const SEQUENTIAL_MAIN: &str = "fn Main(n) { u = First(n); v = Second(n); return u, v; }";
+/// The two passes in a `Par`: its erasure is exactly [`SEQUENTIAL_MAIN`].
+const PARALLEL_MAIN: &str = "fn Main(n) { { u = First(n); || v = Second(n); } return u, v; }";
+/// The passes swapped — equivalent exactly when they commute, which the
+/// random field pool makes genuinely undecided case by case.
+const REORDERED_MAIN: &str = "fn Main(n) { v = Second(n); u = First(n); return u, v; }";
+/// A `Par` whose first branch returns (`Par` is last-return-wins, `Seq`
+/// first-return-wins): its erasure is not exact.
+const RETURNING_BRANCH_MAIN: &str =
+    "fn Main(n) { { u = First(n); return u, 0; || v = Second(n); } return u, v; }";
+/// A `Par` whose second branch reads the local its sibling writes: the
+/// race analysis does not see locals, so erasure is not licensed.
+const SHARED_LOCAL_MAIN: &str =
+    "fn Main(n) { { u = First(n); || v = Second(n); w = u; } return w, v; }";
+
+/// The two random passes of `seed` under the given `Main`.
+fn random_program(seed: u64, main: &str) -> Program {
     let mut rng = TestRng::deterministic(&format!("automata-differential-{seed}"));
     let p0 = random_pass("First", "Second", &mut rng);
     let p1 = random_pass("Second", "First", &mut rng);
-    let main = if parallel {
-        "fn Main(n) {\n    {\n        u = First(n);\n        ||\n        v = Second(n);\n    }\n    return u, v;\n}\n"
-    } else {
-        "fn Main(n) {\n    u = First(n);\n    v = Second(n);\n    return u, v;\n}\n"
-    };
     let source = format!("{p0}{p1}{main}");
     parse_program(&source)
         .unwrap_or_else(|err| panic!("generated program does not parse: {err}\n{source}"))
-}
-
-/// Swaps the order of the two pass invocations in the sequential `Main` —
-/// equivalent exactly when the passes commute, which the random field pool
-/// makes genuinely undecided case by case.
-fn reordered(seed: u64) -> Program {
-    let mut rng = TestRng::deterministic(&format!("automata-differential-{seed}"));
-    let p0 = random_pass("First", "Second", &mut rng);
-    let p1 = random_pass("Second", "First", &mut rng);
-    let main = "fn Main(n) {\n    v = Second(n);\n    u = First(n);\n    return u, v;\n}\n";
-    parse_program(&format!("{p0}{p1}{main}")).expect("generated program parses")
 }
 
 proptest! {
@@ -375,9 +404,9 @@ proptest! {
         max_nodes in 2usize..4,
         valuations in 1usize..3,
     ) {
-        let parallel = random_program(seed, true);
+        let parallel = random_program(seed, PARALLEL_MAIN);
         assert_race_agreement(&format!("random-par-{seed}"), &parallel, max_nodes, valuations);
-        let sequential = random_program(seed, false);
+        let sequential = random_program(seed, SEQUENTIAL_MAIN);
         assert_race_agreement(&format!("random-seq-{seed}"), &sequential, max_nodes, valuations);
     }
 
@@ -391,7 +420,7 @@ proptest! {
         max_nodes in 3usize..5,
         valuations in 1usize..3,
     ) {
-        let original = random_program(seed, false);
+        let original = random_program(seed, SEQUENTIAL_MAIN);
         // Identity: always equivalent, always established unbounded.
         assert_equivalence_agreement(
             &format!("random-id-{seed}"),
@@ -400,7 +429,7 @@ proptest! {
             max_nodes,
             valuations,
         );
-        let swapped = reordered(seed);
+        let swapped = random_program(seed, REORDERED_MAIN);
         assert_equivalence_agreement(
             &format!("random-swap-{seed}"),
             &original,
@@ -409,4 +438,131 @@ proptest! {
             valuations,
         );
     }
+
+    /// Random sequential/parallel pairs: the `Par` erasure rule proves
+    /// exactly the race-free ones — the random passes often race — and
+    /// refuses a branch that returns or a local shared between branches.
+    /// Three pairs per case, 32 cases by default: 96 differential runs.
+    #[test]
+    fn random_seq_par_pairs_show_zero_equivalence_drift(
+        seed in any::<u64>(),
+        max_nodes in 3usize..5,
+        valuations in 1usize..3,
+    ) {
+        let sequential = random_program(seed, SEQUENTIAL_MAIN);
+        let parallel = random_program(seed, PARALLEL_MAIN);
+        let proved = assert_equivalence_agreement(
+            &format!("random-seq-par-{seed}"),
+            &sequential,
+            &parallel,
+            max_nodes,
+            valuations,
+        );
+        assert_eq!(
+            proved,
+            structural_race_analysis(&parallel).is_race_free(),
+            "random-seq-par-{seed}: the erasure is exact, so race-freedom alone decides"
+        );
+        for (kind, main) in [("return", RETURNING_BRANCH_MAIN), ("shared", SHARED_LOCAL_MAIN)] {
+            let inexact = random_program(seed, main);
+            let proved = assert_equivalence_agreement(
+                &format!("random-{kind}-par-{seed}"),
+                &sequential,
+                &inexact,
+                max_nodes,
+                valuations,
+            );
+            assert!(!proved, "random-{kind}-par-{seed}: an inexact erasure was used");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The `Par` erasure rule's soundness boundary
+// ---------------------------------------------------------------------------
+
+/// A pair the erasure rule must leave alone: the automata engine skips it
+/// in both directions, and the portfolio answers from `Engine::Trace`.
+fn assert_erasure_refused(label: &str, original: &Program, parallel: &Program) {
+    let verifier = Verifier::builder().equiv_nodes(4).valuations(1).build();
+    for (a, b) in [(original, parallel), (parallel, original)] {
+        match verifier.verify_with_engine(Engine::Automata, Query::Equivalence(a, b)) {
+            Err(VerifyError::NoApplicableEngine { .. }) => {}
+            other => panic!("{label}: the automata engine must skip, got {other:?}"),
+        }
+        let verdict = verifier
+            .verify(Query::Equivalence(a, b))
+            .unwrap_or_else(|e| panic!("{label}: portfolio failed: {e}"));
+        assert_eq!(verdict.engine, Engine::Trace, "{label}");
+    }
+}
+
+#[test]
+fn par_erasure_needs_race_freedom_and_an_exact_erasure() {
+    // E4b: the cycletree passes race on `num`.
+    assert_erasure_refused(
+        "E4b",
+        &corpus::cycletree_original(),
+        &corpus::cycletree_parallel(),
+    );
+
+    // The tuner's race-refused `par-passes` candidates.
+    let verifier = Verifier::builder()
+        .equiv_nodes(4)
+        .race_nodes(3)
+        .valuations(1)
+        .build();
+    let mut refused = Vec::new();
+    for (name, original) in [
+        ("css_minify", corpus::css_minify_original()),
+        ("cycletree", corpus::cycletree_original()),
+        ("kdtree", corpus::kdtree_closest()),
+    ] {
+        let tuned = tune(&verifier, &original, &TuneOptions::quick(), &mut |_| {
+            Ok(1.0)
+        })
+        .unwrap_or_else(|err| panic!("tuning {name} failed: {err}"));
+        for candidate in &tuned.candidates {
+            if let CandidateStatus::Refused(TransformError::DataRace(_)) = candidate.status {
+                assert_eq!(candidate.schedule, ScheduleKind::ParallelPasses);
+                let label = format!("{name}:{}", candidate.label);
+                let program = candidate.program.as_ref().expect("constructed");
+                assert_erasure_refused(&label, &original, program);
+                refused.push(label);
+            }
+        }
+    }
+    assert_eq!(
+        refused.len(),
+        5,
+        "3 CSS, 1 cycletree, 1 kdtree: {refused:?}"
+    );
+
+    // Race-free, but not erasable.  A first branch that returns: the
+    // parallel program still runs the right-hand sum, its erasure does not.
+    let sum = "fn Sum(n) { if (n == nil) { return 0; } else { a = Sum(n.l); b = Sum(n.r); \
+               n.total = a + b + n.v; return a + b + n.v; } }";
+    let returning = parse_program(&format!(
+        "{sum} fn Main(n) {{ if (n == nil) {{ return 0; }} else {{ \
+         {{ a = Sum(n.l); return 1; || b = Sum(n.r); }} return 2; }} }}"
+    ))
+    .unwrap();
+    let returning_erased = parse_program(&format!(
+        "{sum} fn Main(n) {{ if (n == nil) {{ return 0; }} else {{ \
+         a = Sum(n.l); return 1; b = Sum(n.r); return 2; }} }}"
+    ))
+    .unwrap();
+    assert_erasure_refused("returning branch", &returning_erased, &returning);
+    // Two branches that write the same local.
+    let shared = parse_program(&format!(
+        "{sum} fn Main(n) {{ if (n == nil) {{ return 0; }} else {{ \
+         {{ a = Sum(n.l); || a = Sum(n.r); }} return a; }} }}"
+    ))
+    .unwrap();
+    let shared_erased = parse_program(&format!(
+        "{sum} fn Main(n) {{ if (n == nil) {{ return 0; }} else {{ \
+         a = Sum(n.l); a = Sum(n.r); return a; }} }}"
+    ))
+    .unwrap();
+    assert_erasure_refused("shared local", &shared_erased, &shared);
 }

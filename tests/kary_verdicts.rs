@@ -5,7 +5,7 @@
 
 use retreet_lang::corpus;
 use retreet_transform::CertificateKind;
-use retreet_verify::{Outcome, Query, Verifier};
+use retreet_verify::{Engine, Outcome, Query, Soundness, Verifier};
 
 fn verifier() -> Verifier {
     Verifier::builder()
@@ -58,6 +58,10 @@ fn sequential_and_parallel_ternary_sums_are_equivalent() {
         "the parallel schedule computes the same sums, got {:?}",
         verdict.outcome
     );
+    // Race-free, so it erases to the sequential form: an unbounded proof,
+    // not the bounded search.
+    assert_eq!(verdict.engine, Engine::Automata);
+    assert_eq!(verdict.soundness, Soundness::Unbounded);
 }
 
 #[test]
