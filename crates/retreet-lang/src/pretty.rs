@@ -1,8 +1,17 @@
 //! Pretty-printer producing valid `.retreet` surface syntax.
 //!
-//! The printer is the inverse of [`crate::parser`]: printing a program and
-//! re-parsing it yields a structurally equal program (round-trip property,
-//! tested here and property-tested in the integration suite).
+//! The printer is the inverse of [`crate::parser`]: printing a parsed
+//! program and re-parsing it yields a structurally equal program, and
+//! printing that again yields the same bytes (tested here and
+//! property-tested on random client-style sources in the integration
+//! suite).  The verdict cache relies on it: a program's printed text is its
+//! cache identity, so two sources print alike only when they parse alike.
+//!
+//! Where the parser's block structure has no bare spelling, the printer
+//! adds braces: a brace group nested in a statement list, a straight-line
+//! block that a brace group split from the one before it, and a parallel
+//! composition of fewer than two branches (`par { … }`).  Normalized
+//! programs ([`crate::rewrite::normalize_program`]) need none of them.
 
 use std::fmt::Write as _;
 
@@ -19,161 +28,249 @@ pub fn print_program(program: &Program) -> String {
     if program.arity != 2 {
         let _ = writeln!(out, "arity {};\n", program.arity);
     }
-    let indexed = program.indexed_spelling;
+    let mut printer = Printer {
+        out: &mut out,
+        loc: "",
+        indexed: program.indexed_spelling,
+    };
     for (i, func) in program.funcs.iter().enumerate() {
         if i > 0 {
-            out.push('\n');
+            printer.out.push('\n');
         }
-        print_func_spelled(func, indexed, &mut out);
+        printer.func(func);
     }
     out
 }
 
 /// Renders a single function in the canonical `l`/`r` spelling.
 pub fn print_func(func: &Func, out: &mut String) {
-    print_func_spelled(func, false, out);
-}
-
-fn print_func_spelled(func: &Func, indexed: bool, out: &mut String) {
-    let params = if func.int_params.is_empty() {
-        func.loc_param.clone()
-    } else {
-        format!("{}, {}", func.loc_param, func.int_params.join(", "))
-    };
-    let _ = writeln!(out, "fn {}({}) {{", func.name, params);
-    print_stmt(&func.body, 1, indexed, out);
-    out.push_str("}\n");
-}
-
-fn node_str(node: &NodeRef, indexed: bool) -> String {
-    match node {
-        NodeRef::Cur => "n".to_string(),
-        NodeRef::Child(axis) if indexed => format!("n.{}", axis.indexed_name()),
-        NodeRef::Child(axis) => format!("n.{}", axis.field_name()),
+    Printer {
+        out,
+        loc: "",
+        indexed: false,
     }
+    .func(func);
 }
 
-fn indent(level: usize, out: &mut String) {
-    for _ in 0..level {
-        out.push_str("    ");
+/// Writes functions straight into one output buffer.
+struct Printer<'a> {
+    out: &'a mut String,
+    /// The `Loc` parameter of the function being printed: the spelling of
+    /// the current node.
+    loc: &'a str,
+    indexed: bool,
+}
+
+impl<'a> Printer<'a> {
+    fn func(&mut self, func: &'a Func) {
+        self.loc = &func.loc_param;
+        self.out.push_str("fn ");
+        self.out.push_str(&func.name);
+        self.out.push('(');
+        self.out.push_str(self.loc);
+        for param in &func.int_params {
+            self.out.push_str(", ");
+            self.out.push_str(param);
+        }
+        self.out.push_str(") {\n");
+        self.stmt(&func.body, 1);
+        self.out.push_str("}\n");
     }
-}
 
-fn print_stmt(stmt: &Stmt, level: usize, indexed: bool, out: &mut String) {
-    match stmt {
-        Stmt::Block(block) => print_block(block, level, indexed, out),
-        Stmt::If(cond, then_branch, else_branch) => {
-            indent(level, out);
-            let _ = writeln!(out, "if ({}) {{", print_cond(cond, indexed));
-            print_stmt(then_branch, level + 1, indexed, out);
-            if matches!(else_branch.as_ref(), Stmt::Seq(items) if items.is_empty()) {
-                indent(level, out);
-                out.push_str("}\n");
-            } else {
-                indent(level, out);
-                out.push_str("} else {\n");
-                print_stmt(else_branch, level + 1, indexed, out);
-                indent(level, out);
-                out.push_str("}\n");
-            }
-        }
-        Stmt::Seq(items) => {
-            for item in items {
-                print_stmt(item, level, indexed, out);
-            }
-        }
-        Stmt::Par(items) => {
-            indent(level, out);
-            out.push_str("{\n");
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    indent(level, out);
-                    out.push_str("||\n");
-                }
-                print_stmt(item, level + 1, indexed, out);
-            }
-            indent(level, out);
-            out.push_str("}\n");
+    fn indent(&mut self, level: usize) {
+        for _ in 0..level {
+            self.out.push_str("    ");
         }
     }
-}
 
-fn print_block(block: &Block, level: usize, indexed: bool, out: &mut String) {
-    match &block.kind {
-        BlockKind::Call(call) => {
-            indent(level, out);
-            let results = call.results.join(", ");
-            let mut args = node_str(&call.target, indexed);
-            for arg in &call.args {
-                let _ = write!(args, ", {}", print_aexpr(arg, indexed));
-            }
-            if results.is_empty() {
-                // The grammar requires at least one result variable; use a
-                // throw-away name for result-less calls.
-                let _ = writeln!(out, "_ignored = {}({});", call.callee, args);
-            } else {
-                let _ = writeln!(out, "{} = {}({});", results, call.callee, args);
-            }
-        }
-        BlockKind::Straight(straight) => {
-            for assign in &straight.assigns {
-                indent(level, out);
-                match assign {
-                    Assign::SetField(node, field, value) => {
-                        let _ = writeln!(
-                            out,
-                            "{}.{field} = {};",
-                            node_str(node, indexed),
-                            print_aexpr(value, indexed)
-                        );
-                    }
-                    Assign::SetVar(var, value) => {
-                        let _ = writeln!(out, "{var} = {};", print_aexpr(value, indexed));
-                    }
+    /// A line at `level` holding only `text` (a brace or `||`).
+    fn line(&mut self, level: usize, text: &str) {
+        self.indent(level);
+        self.out.push_str(text);
+        self.out.push('\n');
+    }
+
+    fn node(&mut self, node: &NodeRef) {
+        self.out.push_str(self.loc);
+        if let NodeRef::Child(axis) = node {
+            match (self.indexed, axis.0) {
+                (false, 0) => self.out.push_str(".l"),
+                (false, 1) => self.out.push_str(".r"),
+                (_, k) => {
+                    let _ = write!(self.out, ".c{k}");
                 }
             }
-            if let Some(ret) = &straight.ret {
-                indent(level, out);
-                if ret.is_empty() {
-                    out.push_str("return;\n");
+        }
+    }
+
+    fn stmt(&mut self, stmt: &Stmt, level: usize) {
+        match stmt {
+            Stmt::Block(block) => self.block(block, level),
+            Stmt::If(cond, then_branch, else_branch) => {
+                self.indent(level);
+                self.out.push_str("if (");
+                self.cond(cond);
+                self.out.push_str(") {\n");
+                self.stmt(then_branch, level + 1);
+                if matches!(else_branch.as_ref(), Stmt::Seq(items) if items.is_empty()) {
+                    self.line(level, "}");
                 } else {
-                    let values: Vec<String> = ret.iter().map(|v| print_aexpr(v, indexed)).collect();
-                    let _ = writeln!(out, "return {};", values.join(", "));
+                    self.line(level, "} else {");
+                    self.stmt(else_branch, level + 1);
+                    self.line(level, "}");
+                }
+            }
+            Stmt::Seq(items) => self.seq(items, level),
+            Stmt::Par(branches) => {
+                // `{ a || b }` needs two branches to read as parallel.
+                self.line(level, if branches.len() < 2 { "par {" } else { "{" });
+                for (i, branch) in branches.iter().enumerate() {
+                    if i > 0 {
+                        self.line(level, "||");
+                    }
+                    self.stmt(branch, level + 1);
+                }
+                self.line(level, "}");
+            }
+        }
+    }
+
+    /// The items of a statement list.  The parser splices nothing: a nested
+    /// list is a brace group, and a straight-line block only ends at a
+    /// `return`, a call, a control statement or a brace.  So a nested list,
+    /// and a straight-line block right after one still open, keep braces.
+    fn seq(&mut self, items: &[Stmt], level: usize) {
+        let mut open_straight = false;
+        for item in items {
+            let straight = match item {
+                Stmt::Block(block) => block.as_straight(),
+                _ => None,
+            };
+            if matches!(item, Stmt::Seq(_)) || (open_straight && straight.is_some()) {
+                self.line(level, "{");
+                self.stmt(item, level + 1);
+                self.line(level, "}");
+                open_straight = false;
+            } else {
+                self.stmt(item, level);
+                open_straight = straight.is_some_and(|straight| straight.ret.is_none());
+            }
+        }
+    }
+
+    fn block(&mut self, block: &Block, level: usize) {
+        match &block.kind {
+            BlockKind::Call(call) => {
+                self.indent(level);
+                if call.results.is_empty() {
+                    // The grammar requires at least one result variable; use
+                    // a throw-away name for result-less calls.
+                    self.out.push_str("_ignored");
+                } else {
+                    self.list(&call.results, |printer, result| {
+                        printer.out.push_str(result)
+                    });
+                }
+                self.out.push_str(" = ");
+                self.out.push_str(&call.callee);
+                self.out.push('(');
+                self.node(&call.target);
+                for arg in &call.args {
+                    self.out.push_str(", ");
+                    self.aexpr(arg);
+                }
+                self.out.push_str(");\n");
+            }
+            BlockKind::Straight(straight) => {
+                for assign in &straight.assigns {
+                    self.indent(level);
+                    let value = match assign {
+                        Assign::SetField(node, field, value) => {
+                            self.node(node);
+                            self.out.push('.');
+                            self.out.push_str(field);
+                            value
+                        }
+                        Assign::SetVar(var, value) => {
+                            self.out.push_str(var);
+                            value
+                        }
+                    };
+                    self.out.push_str(" = ");
+                    self.aexpr(value);
+                    self.out.push_str(";\n");
+                }
+                if let Some(ret) = &straight.ret {
+                    self.indent(level);
+                    self.out.push_str("return");
+                    if !ret.is_empty() {
+                        self.out.push(' ');
+                        self.list(ret, Printer::aexpr);
+                    }
+                    self.out.push_str(";\n");
                 }
             }
         }
     }
-}
 
-fn print_aexpr(expr: &AExpr, indexed: bool) -> String {
-    match expr {
-        AExpr::Const(c) => format!("{c}"),
-        AExpr::Var(v) => v.clone(),
-        AExpr::Field(node, field) => format!("{}.{field}", node_str(node, indexed)),
-        AExpr::Add(a, b) => format!(
-            "({} + {})",
-            print_aexpr(a, indexed),
-            print_aexpr(b, indexed)
-        ),
-        AExpr::Sub(a, b) => format!(
-            "({} - {})",
-            print_aexpr(a, indexed),
-            print_aexpr(b, indexed)
-        ),
+    /// `items` separated by `, `.
+    fn list<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
+        for (i, value) in items.iter().enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            item(self, value);
+        }
     }
-}
 
-fn print_cond(cond: &BExpr, indexed: bool) -> String {
-    match cond {
-        BExpr::True => "true".to_string(),
-        BExpr::IsNil(node) => format!("{} == nil", node_str(node, indexed)),
-        BExpr::Gt(expr) => format!("{} > 0", print_aexpr(expr, indexed)),
-        BExpr::Not(inner) => format!("!({})", print_cond(inner, indexed)),
-        BExpr::And(a, b) => format!(
-            "({}) && ({})",
-            print_cond(a, indexed),
-            print_cond(b, indexed)
-        ),
+    fn aexpr(&mut self, expr: &AExpr) {
+        match expr {
+            AExpr::Const(c) => {
+                let _ = write!(self.out, "{c}");
+            }
+            AExpr::Var(v) => self.out.push_str(v),
+            AExpr::Field(node, field) => {
+                self.node(node);
+                self.out.push('.');
+                self.out.push_str(field);
+            }
+            AExpr::Add(a, b) => self.binary(a, " + ", b),
+            AExpr::Sub(a, b) => self.binary(a, " - ", b),
+        }
+    }
+
+    fn binary(&mut self, lhs: &AExpr, op: &str, rhs: &AExpr) {
+        self.out.push('(');
+        self.aexpr(lhs);
+        self.out.push_str(op);
+        self.aexpr(rhs);
+        self.out.push(')');
+    }
+
+    fn cond(&mut self, cond: &BExpr) {
+        match cond {
+            BExpr::True => self.out.push_str("true"),
+            BExpr::IsNil(node) => {
+                self.node(node);
+                self.out.push_str(" == nil");
+            }
+            BExpr::Gt(expr) => {
+                self.aexpr(expr);
+                self.out.push_str(" > 0");
+            }
+            BExpr::Not(inner) => {
+                self.out.push_str("!(");
+                self.cond(inner);
+                self.out.push(')');
+            }
+            BExpr::And(a, b) => {
+                self.out.push('(');
+                self.cond(a);
+                self.out.push_str(") && (");
+                self.cond(b);
+                self.out.push(')');
+            }
+        }
     }
 }
 
@@ -202,6 +299,146 @@ mod tests {
             return o, e;
         }
     "#;
+
+    /// One program using every construct the printer emits, written with
+    /// an `arity 3;` header in both child spellings.
+    const EVERY_CONSTRUCT: &str = r#"
+        arity 3;
+        fn Main(n) {
+            if (n == nil) { return 0, 0; }
+            a = Sum(n.l, 1);
+            b, c = Pair(n.r);
+            { d = Sum(n.l, a - 2); n.s = d; || n.r.s = (b - c) + n.v; }
+            par { n.w = 0; }
+            n.t = a;
+            { n.u = b; }
+            { x = Sum(n.l, 0); y = Sum(n.r, 0); }
+            if (!(n.v > 0) && n.l != nil) { c = -1; }
+            else if (a >= b) { c = 2; }
+            else { return; }
+            return a + b, c;
+        }
+        fn Sum(n, k) {
+            if (true && n.r.v < k) { return k; }
+            return n.v;
+        }
+    "#;
+
+    /// The exact bytes of [`EVERY_CONSTRUCT`] in the `l`/`r` spelling.  The
+    /// verdict cache keys programs by these bytes and the verdict store
+    /// records them, so a change here is a change of cache identity.
+    const EVERY_CONSTRUCT_PRINTED: &str = "\
+arity 3;
+
+fn Main(n) {
+    if (n == nil) {
+        return 0, 0;
+    }
+    a = Sum(n.l, 1);
+    b, c = Pair(n.r);
+    {
+        d = Sum(n.l, (a - 2));
+        n.s = d;
+    ||
+        n.r.s = ((b - c) + n.v);
+    }
+    par {
+        n.w = 0;
+    }
+    n.t = a;
+    {
+        n.u = b;
+    }
+    {
+        x = Sum(n.l, 0);
+        y = Sum(n.r, 0);
+    }
+    if ((!(n.v > 0)) && (!(n.l == nil))) {
+        c = (0 - 1);
+    } else {
+        if (((a - b) + 1) > 0) {
+            c = 2;
+        } else {
+            return;
+        }
+    }
+    return (a + b), c;
+}
+
+fn Sum(n, k) {
+    if ((true) && ((k - n.r.v) > 0)) {
+        return k;
+    }
+    return n.v;
+}
+";
+
+    /// The same program in the indexed spelling.
+    const EVERY_CONSTRUCT_PRINTED_INDEXED: &str = "\
+arity 3;
+
+fn Main(n) {
+    if (n == nil) {
+        return 0, 0;
+    }
+    a = Sum(n.c0, 1);
+    b, c = Pair(n.c1);
+    {
+        d = Sum(n.c0, (a - 2));
+        n.s = d;
+    ||
+        n.c1.s = ((b - c) + n.v);
+    }
+    par {
+        n.w = 0;
+    }
+    n.t = a;
+    {
+        n.u = b;
+    }
+    {
+        x = Sum(n.c0, 0);
+        y = Sum(n.c1, 0);
+    }
+    if ((!(n.v > 0)) && (!(n.c0 == nil))) {
+        c = (0 - 1);
+    } else {
+        if (((a - b) + 1) > 0) {
+            c = 2;
+        } else {
+            return;
+        }
+    }
+    return (a + b), c;
+}
+
+fn Sum(n, k) {
+    if ((true) && ((k - n.c1.v) > 0)) {
+        return k;
+    }
+    return n.v;
+}
+";
+
+    #[test]
+    fn every_construct_prints_to_the_pinned_bytes_in_both_spellings() {
+        let named = parse_program(EVERY_CONSTRUCT).unwrap();
+        let indexed_source = EVERY_CONSTRUCT
+            .replace("n.l", "n.c0")
+            .replace("n.r", "n.c1");
+        let indexed = parse_program(&indexed_source).unwrap();
+        assert_eq!(named, indexed, "the spelling is not part of the program");
+        for (program, pinned) in [
+            (&named, EVERY_CONSTRUCT_PRINTED),
+            (&indexed, EVERY_CONSTRUCT_PRINTED_INDEXED),
+        ] {
+            let printed = print_program(program);
+            assert_eq!(printed, pinned);
+            let reparsed = parse_program(&printed).unwrap();
+            assert_eq!(&reparsed, program);
+            assert_eq!(print_program(&reparsed), printed);
+        }
+    }
 
     #[test]
     fn round_trip_preserves_structure() {

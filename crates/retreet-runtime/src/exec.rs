@@ -130,6 +130,11 @@ impl ProgramExecutor {
         }
     }
 
+    /// The program this executor runs.
+    pub fn program(&self) -> &Program {
+        self.table.program()
+    }
+
     /// The tier [`Self::run`] will use.
     pub fn tier(&self) -> ExecTier {
         if self.compiled.is_some() {

@@ -32,7 +32,8 @@
 //!   fallback) and answers with the returned values, the executing tier,
 //!   the certified-lowered functions and the node count; `elapsed_us`
 //!   covers building the tree and running the program.  Executors are
-//!   compiled once per distinct source and cached.
+//!   compiled once per distinct source and cached, and a cached source is
+//!   not parsed again.
 //! * `tune` — `program` plus optional `height` (default 8) / `seed` /
 //!   `arity` (same rules and node bound as `run`): runs the certified
 //!   schedule autotuner (`retreet_runtime::tune_and_compile`) over the
@@ -58,12 +59,17 @@
 //!
 //! # The two-lane scheduler
 //!
-//! Every verification request is first *probed* against the shared
-//! verifier ([`Verifier::probe`]):
+//! A `race` or `equivalence` request is first looked up by its program
+//! text ([`Verifier::cached`]): text byte-identical to a cached entry's
+//! printed programs is answered inline before anything is parsed, and a
+//! miss counts nothing.  Every other verification request is parsed and
+//! *probed* against the shared verifier ([`Verifier::probe`]):
 //!
 //! ```text
-//!              ┌─ probe ──────────────────────────────────────────┐
-//!   request ──►│ Hit / InFlight ──► warm lane: answered inline    │──► response
+//!   request ──► cached(text) ── hit ──► answered inline, nothing parsed
+//!      │ miss (or validity, batch)
+//!      ▼       ┌─ probe ──────────────────────────────────────────┐
+//!    parse ───►│ Hit / InFlight ──► warm lane: answered inline    │──► response
 //!              │                    (cache read / coalesced wait) │
 //!              │ Cold ────────────► cold lane: bounded queue ───► │
 //!              │                    worker pool (portfolio run)   │
@@ -119,8 +125,8 @@ use retreet_lang::corpus;
 use retreet_mso::formula::Formula;
 use retreet_runtime::exec::{ExecTier, ProgramExecutor};
 use retreet_verify::{
-    CorruptionPolicy, FaultPlan, FaultSite, InjectedFault, Outcome, Query, Soundness, Verdict,
-    Verifier, VerifyError, Warmth,
+    CorruptionPolicy, FaultPlan, FaultSite, InjectedFault, Outcome, Query, Soundness, SourceQuery,
+    Verdict, Verifier, VerifyError, Warmth,
 };
 
 use json::Value;
@@ -432,10 +438,15 @@ impl Service {
             return error_response(id, "shutting_down", "service is draining for shutdown");
         }
         match kind {
-            "race" | "equivalence" | "validity" => match parse_query(kind, request) {
-                Ok(parsed) => self.answer_query(id, parsed),
-                Err(err) => error_response(id, "bad_request", &err),
-            },
+            "race" | "equivalence" | "validity" => {
+                if let Some(response) = self.answer_from_text(id, kind, request) {
+                    return response;
+                }
+                match parse_query(kind, request) {
+                    Ok(parsed) => self.answer_query(id, parsed),
+                    Err(err) => error_response(id, "bad_request", &err),
+                }
+            }
             "batch" => self.handle_batch(id, request),
             "run" => self.handle_run(id, request),
             "tune" => self.handle_tune(id, request),
@@ -449,6 +460,30 @@ impl Service {
         }
     }
 
+    /// The text lookup (see the crate docs): a race or equivalence request
+    /// whose program text is byte-identical to a cached entry's printed
+    /// programs is answered on the warm lane before anything is parsed.
+    /// `None` — a miss, which counts nothing, or a request of another
+    /// shape — sends the request on to parsing, which answers every error
+    /// exactly as before.  The nesting guard protects the parser, and a hit
+    /// parses nothing.
+    fn answer_from_text(
+        &self,
+        id: Option<&Value>,
+        kind: &str,
+        request: &std::collections::BTreeMap<String, Value>,
+    ) -> Option<String> {
+        let text = |field: &str| request.get(field).and_then(Value::as_str);
+        let query = match kind {
+            "race" => SourceQuery::DataRace(text("program")?),
+            "equivalence" => SourceQuery::Equivalence(text("original")?, text("transformed")?),
+            _ => return None,
+        };
+        let verdict = self.verifier.cached(query)?;
+        self.warm_inline.fetch_add(1, Ordering::Relaxed);
+        Some(verdict_response(id, kind, &Ok(verdict)))
+    }
+
     /// The two-lane scheduler (see the crate docs): warm queries answer
     /// inline; cold queries go through the bounded worker pool and are shed
     /// with `overloaded` when it is full.
@@ -457,7 +492,7 @@ impl Service {
             Warmth::Hit | Warmth::InFlight => {
                 self.warm_inline.fetch_add(1, Ordering::Relaxed);
                 let result = self.verifier.verify(parsed.as_query());
-                verdict_response(id, &parsed, &result)
+                verdict_response(id, parsed.kind(), &result)
             }
             Warmth::Cold => {
                 let verifier = Arc::clone(&self.verifier);
@@ -465,7 +500,7 @@ impl Service {
                 let (tx, rx) = mpsc::channel::<String>();
                 let admission = self.cold.submit(Box::new(move || {
                     let result = verifier.verify(parsed.as_query());
-                    let _ = tx.send(verdict_response(id_owned.as_ref(), &parsed, &result));
+                    let _ = tx.send(verdict_response(id_owned.as_ref(), parsed.kind(), &result));
                 }));
                 self.await_cold(id, admission, &rx)
             }
@@ -590,17 +625,23 @@ impl Service {
                 "`run` requests need a string field `program`",
             );
         };
-        if source_nesting(source) > MAX_PROGRAM_NESTING {
-            return error_response(
-                id,
-                "bad_request",
-                &format!("`program` nests deeper than {MAX_PROGRAM_NESTING} levels"),
-            );
-        }
-        let program = match retreet_lang::parse_program(source) {
-            Ok(program) => program,
-            Err(err) => {
-                return error_response(id, "bad_request", &format!("cannot parse `program`: {err}"))
+        // A program with a cached executor runs without being parsed again;
+        // the executor's program supplies the declared arity.
+        let cached = self
+            .executors
+            .lock()
+            .expect("executor cache lock")
+            .get(source)
+            .cloned();
+        let parsed;
+        let program = match &cached {
+            Some(executor) => executor.program(),
+            None => {
+                parsed = match parse_source(source, "program") {
+                    Ok(program) => program,
+                    Err(err) => return error_response(id, "bad_request", &err),
+                };
+                &parsed
             }
         };
         let seed = match request.get("seed") {
@@ -608,11 +649,14 @@ impl Service {
             Some(Value::Number(s)) => *s as u64,
             Some(_) => return error_response(id, "bad_request", "`seed` must be a number"),
         };
-        let (arity, height) = match parse_tree_shape(request, &program, DEFAULT_RUN_HEIGHT) {
+        let (arity, height) = match parse_tree_shape(request, program, DEFAULT_RUN_HEIGHT) {
             Ok(shape) => shape,
             Err(err) => return error_response(id, "bad_request", &err),
         };
-        let executor = self.executor_for(source, &program);
+        let executor = match &cached {
+            Some(executor) => Arc::clone(executor),
+            None => self.executor_for(source, program),
+        };
         let started = std::time::Instant::now();
         match executor.run_complete(arity, height, seed) {
             Ok(outcome) => {
@@ -918,6 +962,17 @@ fn source_nesting(source: &str) -> usize {
     max
 }
 
+/// Parses the program text of request field `field`, refusing sources that
+/// nest deeper than [`MAX_PROGRAM_NESTING`] before the parser sees them.
+fn parse_source(source: &str, field: &str) -> Result<Program, String> {
+    if source_nesting(source) > MAX_PROGRAM_NESTING {
+        return Err(format!(
+            "`{field}` nests deeper than {MAX_PROGRAM_NESTING} levels"
+        ));
+    }
+    retreet_lang::parse_program(source).map_err(|err| format!("cannot parse `{field}`: {err}"))
+}
+
 fn parse_query(
     kind: &str,
     request: &std::collections::BTreeMap<String, Value>,
@@ -927,12 +982,7 @@ fn parse_query(
             .get(field)
             .and_then(Value::as_str)
             .ok_or_else(|| format!("`{kind}` requests need a string field `{field}`"))?;
-        if source_nesting(source) > MAX_PROGRAM_NESTING {
-            return Err(format!(
-                "`{field}` nests deeper than {MAX_PROGRAM_NESTING} levels"
-            ));
-        }
-        retreet_lang::parse_program(source).map_err(|err| format!("cannot parse `{field}`: {err}"))
+        parse_source(source, field)
     };
     match kind {
         "race" => Ok(ParsedQuery::Race(program("program")?)),
@@ -972,7 +1022,7 @@ fn batch_response(
         .map(|entry| match entry {
             Ok(parsed) => {
                 let result = verdicts.next().expect("one verdict per parsed query");
-                verdict_response(None, parsed, &result)
+                verdict_response(None, parsed.kind(), &result)
             }
             Err(err) => error_response(None, "bad_request", err),
         })
@@ -1076,7 +1126,7 @@ fn error_code(err: &VerifyError) -> &'static str {
 
 fn verdict_response(
     id: Option<&Value>,
-    parsed: &ParsedQuery,
+    kind: &str,
     result: &Result<Verdict, VerifyError>,
 ) -> String {
     let verdict = match result {
@@ -1094,7 +1144,7 @@ fn verdict_response(
         "\"status\":\"ok\",\"kind\":\"{}\",\"verdict\":\"{}\",\"positive\":{},\
          \"engine\":\"{}\",\"soundness\":\"{}\",\"cached\":{},\"coalesced\":{},\
          \"degraded\":false,\"elapsed_us\":{},\"trees_checked\":{},\"detail\":\"{}\"}}",
-        parsed.kind(),
+        kind,
         word,
         verdict.is_positive(),
         verdict.engine.name(),
@@ -1359,6 +1409,7 @@ fn serve_connection(service: &Service, stream: &TcpStream) -> std::io::Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
+    use retreet_lang::pretty::print_program;
 
     fn quick_options() -> ServeOptions {
         ServeOptions {
@@ -1470,6 +1521,127 @@ mod tests {
         assert_eq!(verdict(1, "status").as_str(), Some("error"));
         assert_eq!(verdict(2, "verdict").as_str(), Some("race-free"));
         assert_eq!(verdict(3, "verdict").as_str(), Some("valid"));
+    }
+
+    /// The verdict cache's hit and miss counters.
+    fn cache_counts(service: &Service) -> (u64, u64) {
+        let stats = service.verifier().cache_stats();
+        (stats.hits, stats.misses)
+    }
+
+    fn race_request(program: &str) -> String {
+        format!(
+            r#"{{"kind": "race", "program": "{}"}}"#,
+            json::escape(program)
+        )
+    }
+
+    #[test]
+    fn printed_program_text_is_answered_from_the_cache_as_one_hit() {
+        let service = quick_service();
+        service.warm_start();
+        let before = cache_counts(&service);
+        let runs = service.verifier().serving_stats().engine_runs;
+        let printed = print_program(&corpus::cycletree_fused());
+        let original = print_program(&corpus::cycletree_original());
+        for request in [
+            race_request(&printed),
+            format!(
+                r#"{{"kind": "equivalence", "original": "{}", "transformed": "{}"}}"#,
+                json::escape(&original),
+                json::escape(&printed)
+            ),
+        ] {
+            let response = service.handle_line(&request);
+            assert_eq!(field(&response, "cached"), Value::Bool(true), "{response}");
+        }
+        assert_eq!(cache_counts(&service), (before.0 + 2, before.1));
+        assert_eq!(service.verifier().serving_stats().engine_runs, runs);
+    }
+
+    #[test]
+    fn a_text_lookup_miss_counts_nothing() {
+        let service = quick_service();
+        let printed = print_program(&corpus::size_counting_parallel());
+        // Cold: the text lookup misses silently, the parsed query misses.
+        let response = service.handle_line(&race_request(&printed));
+        assert_eq!(field(&response, "cached"), Value::Bool(false));
+        assert_eq!(cache_counts(&service), (0, 1));
+        let response = service.handle_line(&race_request(&printed));
+        assert_eq!(field(&response, "cached"), Value::Bool(true));
+        assert_eq!(cache_counts(&service), (1, 1));
+        // An invalid program is refused before any lookup is counted.
+        let response = service.handle_line(&race_request("fn F(n) { return 0; }"));
+        assert_eq!(field(&response, "code").as_str(), Some("bad_request"));
+        assert_eq!(cache_counts(&service), (1, 1));
+    }
+
+    #[test]
+    fn a_whitespace_variant_of_a_resident_program_hits_after_parsing() {
+        let service = quick_service();
+        let printed = print_program(&corpus::size_counting_parallel());
+        service.handle_line(&race_request(&printed));
+        let relaid = printed.replace("\n", "\n  // relaid\n ");
+        let response = service.handle_line(&race_request(&relaid));
+        assert_eq!(field(&response, "cached"), Value::Bool(true), "{response}");
+        assert_eq!(cache_counts(&service), (1, 1));
+        assert_eq!(service.verifier().cache_stats().entries, 1);
+    }
+
+    #[test]
+    fn the_two_child_spellings_of_one_program_cost_one_extra_miss() {
+        let service = quick_service();
+        let named = print_program(&corpus::size_counting_parallel());
+        assert!(named.contains("n.l") && !named.contains("n.c0"));
+        let indexed = named.replace("n.l", "n.c0").replace("n.r", "n.c1");
+        let first = service.handle_line(&race_request(&named));
+        let second = service.handle_line(&race_request(&indexed));
+        // The programs are equal, but the cache identifies a program by its
+        // printed text, which keeps the spelling: two entries, the same
+        // verdict, never a wrong one.
+        assert_eq!(field(&second, "cached"), Value::Bool(false));
+        assert_eq!(field(&first, "verdict"), field(&second, "verdict"));
+        assert_eq!(cache_counts(&service), (0, 2));
+        assert_eq!(service.verifier().cache_stats().entries, 2);
+        for request in [race_request(&named), race_request(&indexed)] {
+            let response = service.handle_line(&request);
+            assert_eq!(field(&response, "cached"), Value::Bool(true));
+        }
+        assert_eq!(cache_counts(&service), (2, 2));
+    }
+
+    #[test]
+    fn a_repeated_run_answers_like_the_first_and_malformed_programs_stay_bad_requests() {
+        let service = quick_service();
+        let program = json::escape(corpus::TREE_MUTATION_ORIGINAL_SRC);
+        let request =
+            format!(r#"{{"kind": "run", "program": "{program}", "height": 6, "seed": 3}}"#);
+        let strip = |response: &str| {
+            let mut object = json::parse(response).unwrap().as_object().unwrap().clone();
+            object.remove("elapsed_us");
+            object
+        };
+        let first = service.handle_line(&request);
+        assert_eq!(field(&first, "tier").as_str(), Some("vm"), "{first}");
+        let again = service.handle_line(&request);
+        assert_eq!(strip(&first), strip(&again), "{first}");
+        // A cached program still has its request fields checked.
+        let bad_seed = format!(r#"{{"kind": "run", "program": "{program}", "seed": "x"}}"#);
+        let response = service.handle_line(&bad_seed);
+        assert_eq!(field(&response, "code").as_str(), Some("bad_request"));
+        for malformed in ["fn !! syntax error", "fn Main(n) { return 0;"] {
+            let request = format!(r#"{{"kind": "run", "program": "{malformed}"}}"#);
+            let response = service.handle_line(&request);
+            assert_eq!(
+                field(&response, "code").as_str(),
+                Some("bad_request"),
+                "{response}"
+            );
+        }
+        let stats = json::parse(&service.handle_line(r#"{"kind": "stats"}"#)).unwrap();
+        let codegen = stats.as_object().unwrap()["codegen"].as_object().unwrap();
+        assert_eq!(codegen["compiles"], Value::Number(1.0));
+        assert_eq!(codegen["vm_runs"], Value::Number(2.0));
     }
 
     #[test]

@@ -41,7 +41,10 @@
 //! (the `retreet-serve` crate wraps one in a long-running NDJSON service):
 //!
 //! * the verdict cache is *lock-striped* over independent shards, so
-//!   concurrent distinct queries contend on different locks;
+//!   concurrent distinct queries contend on different locks, and it
+//!   identifies a program by its printed text, so
+//!   [`Verifier::cached`] answers a repeated race or equivalence request
+//!   from its program text ([`SourceQuery`]) without parsing it;
 //! * identical concurrent queries are *single-flighted*: one of them runs
 //!   the portfolio, the rest block on that in-flight run and receive the
 //!   same witness (marked [`Verdict::coalesced`]) instead of racing the
@@ -127,7 +130,7 @@ pub use cache::CacheStats;
 pub use engine::{Engine, EngineConfig};
 pub use error::{EngineSkip, ProgramRole, VerifyError};
 pub use persist::StoreStats;
-pub use query::{Query, QueryKind};
+pub use query::{Query, QueryKind, SourceQuery};
 pub use verdict::{Outcome, Soundness, Verdict};
 
 // The fault-injection vocabulary and the store's corruption policy are
@@ -561,21 +564,41 @@ impl Verifier {
 
     /// Classifies a query without running anything: resident in the cache,
     /// identical to an in-flight dispatch, or cold.  Subjects are compared
-    /// structurally (not just by hash), exactly as the cache itself does;
-    /// no counters move.
+    /// by their printed text (not just by hash), exactly as the cache
+    /// itself does; no counters move.
     pub fn probe(&self, query: &Query<'_>) -> Warmth {
         if !self.cache.enabled() {
             return Warmth::Cold;
         }
-        let key = query.cache_key(&self.config);
-        if self.cache.peek(&key, query).is_some() {
+        let subjects = OwnedQuery::printed(query);
+        let key = subjects.cache_key(&self.config);
+        if self.cache.peek(&key, &subjects).is_some() {
             return Warmth::Hit;
         }
         let inflight = self.inflight.lock().expect("in-flight table poisoned");
         match inflight.get(&key) {
-            Some(flight) if flight.subjects.matches(query) => Warmth::InFlight,
+            Some(flight) if *flight.subjects == subjects => Warmth::InFlight,
             _ => Warmth::Cold,
         }
+    }
+
+    /// Answers a race or equivalence query from the verdict cache by its
+    /// program text alone, without parsing, validating or printing: a hit
+    /// needs a resident entry whose printed programs are byte-identical to
+    /// `query`'s texts.  Only validated programs are ever resident, and the
+    /// printer is the parser's inverse, so identical text is the same
+    /// program.
+    ///
+    /// A hit counts one cache hit.  A miss counts nothing and answers
+    /// `None`: the caller parses the text and [`Self::verify`]s it, and that
+    /// lookup counts the query's hit or miss (so a source that differs from
+    /// the printed form only in layout still hits there).
+    pub fn cached(&self, query: SourceQuery<'_>) -> Option<Verdict> {
+        if !self.cache.enabled() {
+            return None;
+        }
+        self.cache
+            .get_source(&query.cache_key(&self.config), &query)
     }
 
     /// Raises the cooperative-cancel flag of every dispatch currently
@@ -633,20 +656,15 @@ impl Verifier {
             // query goes straight to the portfolio.
             return self.dispatch(&query, deadline);
         }
-        // The cache key is a fixed-size structural hash of the subjects and
-        // options, computed once here at query construction (no per-lookup
-        // re-canonicalization of program text).
-        let key = query.cache_key(&self.config);
-        if let Some(cached) = self.cache.get(&key, &query) {
+        // Each program is printed once: the text is the query's identity,
+        // its hash the key, and the same `Arc` is held by the flight and the
+        // cache entry.  It is built before the in-flight lock is taken, so
+        // no O(program) work happens inside that critical section.
+        let owned = Arc::new(OwnedQuery::printed(&query));
+        let key = owned.cache_key(&self.config);
+        if let Some(cached) = self.cache.get(&key, &owned) {
             return Ok(cached);
         }
-        // The owned subjects are built *before* taking the in-flight lock:
-        // an O(program) clone inside that critical section would serialize
-        // every cache-missing query across all serving threads on one
-        // mutex.  Programs an equal resident entry already holds are shared
-        // rather than cloned.  The Arc is shared by the flight and the cache
-        // entry; only the (rare) coalesced path builds it for nothing.
-        let owned = Arc::new(self.cache.owned_query(&query));
         let dispatch_and_cache = |owned: Arc<OwnedQuery>| {
             let result = self.dispatch(&query, deadline);
             if let Ok(verdict) = &result {
@@ -665,7 +683,7 @@ impl Verifier {
                 // Coalescing is only sound when the in-flight *subjects*
                 // match, not just the 128-bit key: a colliding query must
                 // run on its own rather than adopt another query's verdict.
-                Some(flight) if flight.subjects.matches(&query) => Role::Wait(Arc::clone(flight)),
+                Some(flight) if flight.subjects == owned => Role::Wait(Arc::clone(flight)),
                 Some(_) => Role::Collide,
                 None => {
                     let flight = Arc::new(Flight::new(Arc::clone(&owned)));
@@ -700,7 +718,7 @@ impl Verifier {
                 // leader may have populated the cache between this query's
                 // miss and its registration (peek keeps the per-query
                 // hit/miss accounting exact).
-                let result = match self.cache.peek(&key, &query) {
+                let result = match self.cache.peek(&key, &owned) {
                     Some(cached) => Ok(cached),
                     None => dispatch_and_cache(owned),
                 };
@@ -911,6 +929,7 @@ impl Verifier {
 mod tests {
     use super::*;
     use retreet_lang::corpus;
+    use retreet_lang::pretty::print_program;
     use retreet_mso::formula::FoVar;
 
     fn small_verifier() -> Verifier {
@@ -1269,49 +1288,86 @@ mod tests {
     }
 
     #[test]
-    fn cached_and_replayed_entries_share_their_programs() {
-        let path = temp_store_path("shared");
-        let program = corpus::size_counting_sequential();
+    fn cached_answers_byte_identical_program_text_and_counts_only_hits() {
+        let verifier = small_verifier();
+        let original = corpus::size_counting_sequential();
         let fused = corpus::size_counting_fused();
-        let build = || {
-            Verifier::builder()
-                .max_nodes(3)
-                .valuations(1)
-                .persist(&path)
-                .build()
-        };
-        let shared_original = |verifier: &Verifier| {
-            let race = Query::DataRace(&program).cache_key(&verifier.config);
-            let equivalence = Query::Equivalence(&program, &fused).cache_key(&verifier.config);
-            let first = verifier
-                .cache
-                .resident_subjects(&race)
-                .expect("race cached");
-            let second = verifier
-                .cache
-                .resident_subjects(&equivalence)
-                .expect("equivalence cached");
-            let (first, second) = (
-                first.programs().next().unwrap().clone(),
-                second.programs().next().unwrap().clone(),
-            );
-            Arc::ptr_eq(&first, &second)
-        };
-        {
-            let verifier = build();
-            verifier.verify(Query::DataRace(&program)).unwrap();
+        let (original_text, fused_text) = (print_program(&original), print_program(&fused));
+        let text = SourceQuery::Equivalence(&original_text, &fused_text);
+        assert!(verifier.cached(text).is_none(), "nothing resident yet");
+        assert_eq!(verifier.cache_stats(), CacheStats::default());
+        let first = verifier
+            .verify(Query::Equivalence(&original, &fused))
+            .unwrap();
+        let hit = verifier.cached(text).expect("printed text hits");
+        assert!(hit.cached);
+        assert_eq!(format!("{:?}", hit.outcome), format!("{:?}", first.outcome));
+        // Another layout of the same program is a text miss that counts
+        // nothing; its parsed query then hits.
+        let relaid = original_text.replace('\n', " ");
+        assert!(verifier
+            .cached(SourceQuery::Equivalence(&relaid, &fused_text))
+            .is_none());
+        assert!(verifier
+            .cached(SourceQuery::Equivalence(&fused_text, &original_text))
+            .is_none());
+        assert!(verifier
+            .cached(SourceQuery::DataRace(&original_text))
+            .is_none());
+        let reparsed = retreet_lang::parse_program(&relaid).unwrap();
+        assert!(
             verifier
-                .verify(Query::Equivalence(&program.clone(), &fused))
-                .unwrap();
-            assert!(
-                shared_original(&verifier),
-                "a miss reuses the resident copy"
-            );
-            verifier.flush_store();
+                .verify(Query::Equivalence(&reparsed, &fused))
+                .unwrap()
+                .cached
+        );
+        let stats = verifier.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (2, 1));
+    }
+
+    #[test]
+    fn cached_misses_without_a_cache() {
+        let verifier = Verifier::builder().cache_capacity(0).build();
+        let program = corpus::size_counting_parallel();
+        verifier.verify(Query::DataRace(&program)).unwrap();
+        let text = print_program(&program);
+        assert!(verifier.cached(SourceQuery::DataRace(&text)).is_none());
+    }
+
+    #[test]
+    fn replay_skips_stored_programs_that_fail_validation() {
+        let path = temp_store_path("invalid");
+        let config = VerifierBuilder::default().max_nodes(3).valuations(1).config;
+        let invalid = "fn F(n) {\n    return 0;\n}\n";
+        let valid = print_program(&corpus::size_counting_parallel());
+        {
+            let (store, _) = VerdictStore::open(&path, CorruptionPolicy::SkipAndLog, None).unwrap();
+            let verdict = Verdict {
+                outcome: Outcome::RaceFree {
+                    trees_checked: 0,
+                    configurations: 0,
+                },
+                engine: Engine::Automata,
+                soundness: Soundness::Unbounded,
+                elapsed: Duration::ZERO,
+                cached: false,
+                coalesced: false,
+            };
+            for program in [invalid, valid.as_str()] {
+                let subjects = OwnedQuery::DataRace(program.into());
+                store.write_through(&subjects.cache_key(&config), &subjects, &verdict);
+            }
+            store.flush();
         }
-        let verifier = build();
-        assert_eq!(verifier.store_stats().unwrap().loaded, 2);
-        assert!(shared_original(&verifier), "replayed entries share too");
+        let verifier = Verifier::builder()
+            .max_nodes(3)
+            .valuations(1)
+            .persist(&path)
+            .build();
+        let stats = verifier.store_stats().unwrap();
+        assert_eq!((stats.loaded, stats.skipped), (1, 1));
+        assert!(verifier.cached(SourceQuery::DataRace(invalid)).is_none());
+        assert!(verifier.cached(SourceQuery::DataRace(&valid)).is_some());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -20,12 +20,15 @@
 //!   compaction rewrites the full live set (transient errors self-heal).
 //!
 //! The on-disk value encoding is a small hand-rolled binary format.
-//! Programs are stored as pretty-printed source (the PR-3 round-trip
-//! property `parse(print(p)) == p` makes that exact); formulas, value
-//! trees and labeled trees get direct codecs.  Trees are replayed in
-//! node-id order, which is valid because both tree types only grow by
-//! `add_left`/`add_right` — a parent's id is always smaller than its
-//! children's.
+//! Programs are stored as the printed source the cache identifies them by
+//! (the round-trip property `parse(print(p)) == p` makes that exact);
+//! formulas, value trees and labeled trees get direct codecs.  Replay
+//! parses and validates every stored program and skips the record when
+//! either fails: the cache answers text lookups without parsing or
+//! validating, so it may only hold programs a query could have inserted.
+//! Trees are replayed in node-id order, which is valid because both tree
+//! types only grow by `add_left`/`add_right` — a parent's id is always
+//! smaller than its children's.
 
 use std::collections::HashMap;
 use std::io;
@@ -38,7 +41,7 @@ use retreet_analysis::equiv::{Disagreement, EquivCounterExample};
 use retreet_analysis::race::RaceWitness;
 use retreet_analysis::vtree::{NodeId, ValueTree};
 use retreet_lang::parse_program;
-use retreet_lang::pretty::print_program;
+use retreet_lang::validate::validate;
 use retreet_mso::formula::{FoVar, Formula, SoVar};
 use retreet_mso::tree::LabeledTree;
 use retreet_store::fault::FaultPlan;
@@ -548,28 +551,32 @@ fn read_formula(r: &mut Reader<'_>, depth: usize) -> Result<Formula, String> {
 
 fn put_subjects(buf: &mut Vec<u8>, subjects: &OwnedQuery) {
     match subjects {
-        OwnedQuery::DataRace(program) => {
-            put_str(buf, &print_program(program));
-        }
+        OwnedQuery::DataRace(program) => put_str(buf, program),
         OwnedQuery::Equivalence(original, transformed) => {
-            put_str(buf, &print_program(original));
-            put_str(buf, &print_program(transformed));
+            put_str(buf, original);
+            put_str(buf, transformed);
         }
         OwnedQuery::Validity(formula) => put_formula(buf, formula),
     }
 }
 
 fn read_subjects(r: &mut Reader<'_>, kind: QueryKind) -> Result<OwnedQuery, String> {
-    let parse = |source: String| {
-        parse_program(&source).map_err(|e| format!("persisted program fails to parse: {e}"))
-    };
     Ok(match kind {
-        QueryKind::DataRace => OwnedQuery::DataRace(Arc::new(parse(r.str()?)?)),
-        QueryKind::Equivalence => {
-            OwnedQuery::Equivalence(Arc::new(parse(r.str()?)?), Arc::new(parse(r.str()?)?))
-        }
+        QueryKind::DataRace => OwnedQuery::DataRace(read_program(r)?),
+        QueryKind::Equivalence => OwnedQuery::Equivalence(read_program(r)?, read_program(r)?),
         QueryKind::Validity => OwnedQuery::Validity(read_formula(r, 0)?),
     })
+}
+
+/// A stored program's text, kept only when it parses and validates.
+fn read_program(r: &mut Reader<'_>) -> Result<Box<str>, String> {
+    let source = r.str()?;
+    let program =
+        parse_program(&source).map_err(|e| format!("persisted program fails to parse: {e}"))?;
+    if let Some(error) = validate(&program).first() {
+        return Err(format!("persisted program fails validation: {error}"));
+    }
+    Ok(source.into_boxed_str())
 }
 
 fn put_outcome(buf: &mut Vec<u8>, outcome: &Outcome) {
@@ -758,6 +765,7 @@ fn decode_entry(key_bytes: &[u8], value: &[u8]) -> Result<(CacheKey, OwnedQuery,
 mod tests {
     use super::*;
     use retreet_lang::corpus;
+    use retreet_lang::pretty::print_program;
 
     fn sample_value_tree() -> ValueTree {
         let mut tree = ValueTree::single();
@@ -824,17 +832,17 @@ mod tests {
 
     #[test]
     fn full_entries_roundtrip_for_every_outcome_shape() {
-        let program = Arc::new(corpus::size_counting_parallel());
+        let program = || print_program(&corpus::size_counting_parallel()).into_boxed_str();
         let entries: Vec<(OwnedQuery, Outcome)> = vec![
             (
-                OwnedQuery::DataRace(program.clone()),
+                OwnedQuery::DataRace(program()),
                 Outcome::RaceFree {
                     trees_checked: 12,
                     configurations: 99,
                 },
             ),
             (
-                OwnedQuery::DataRace(program.clone()),
+                OwnedQuery::DataRace(program()),
                 Outcome::Race(Box::new(RaceWitness {
                     tree: sample_value_tree(),
                     first: "iter A".into(),
@@ -844,7 +852,10 @@ mod tests {
                 })),
             ),
             (
-                OwnedQuery::Equivalence(program.clone(), Arc::new(corpus::size_counting_fused())),
+                OwnedQuery::Equivalence(
+                    program(),
+                    print_program(&corpus::size_counting_fused()).into_boxed_str(),
+                ),
                 Outcome::NotEquivalent(Box::new(EquivCounterExample {
                     tree: sample_value_tree(),
                     disagreement: Disagreement::Returns {
@@ -868,16 +879,14 @@ mod tests {
                 cached: false,
                 coalesced: false,
             };
-            let key = subjects
-                .as_query()
-                .cache_key(&crate::VerifierBuilder::default().config);
+            let key = subjects.cache_key(&crate::VerifierBuilder::default().config);
             let value = encode_entry(&subjects, &verdict);
             let (back_key, back_subjects, back_verdict) = decode_entry(&key_bytes_of(&key), &value)
                 .unwrap_or_else(|e| {
                     panic!("entry {i} failed to decode: {e}");
                 });
             assert_eq!(back_key, key, "entry {i}");
-            assert!(back_subjects.matches(&subjects.as_query()), "entry {i}");
+            assert_eq!(back_subjects, subjects, "entry {i}");
             assert_eq!(
                 format!("{:?}", back_verdict.outcome),
                 format!("{:?}", verdict.outcome),
@@ -886,6 +895,31 @@ mod tests {
             assert_eq!(back_verdict.engine, verdict.engine);
             assert_eq!(back_verdict.soundness, verdict.soundness);
             assert_eq!(back_verdict.elapsed, verdict.elapsed);
+        }
+    }
+
+    #[test]
+    fn stored_programs_that_fail_to_parse_or_validate_do_not_decode() {
+        let verdict = Verdict {
+            outcome: Outcome::RaceFree {
+                trees_checked: 0,
+                configurations: 0,
+            },
+            engine: Engine::Automata,
+            soundness: Soundness::Unbounded,
+            elapsed: Duration::from_nanos(5),
+            cached: false,
+            coalesced: false,
+        };
+        for (program, reason) in [
+            ("fn F(n) { return 0; }", "fails validation"),
+            ("fn Main(n) { !! }", "fails to parse"),
+        ] {
+            let subjects = OwnedQuery::DataRace(program.into());
+            let key = subjects.cache_key(&crate::VerifierBuilder::default().config);
+            let value = encode_entry(&subjects, &verdict);
+            let error = decode_entry(&key_bytes_of(&key), &value).unwrap_err();
+            assert!(error.contains(reason), "{program}: {error}");
         }
     }
 
@@ -900,9 +934,7 @@ mod tests {
             cached: false,
             coalesced: false,
         };
-        let key = subjects
-            .as_query()
-            .cache_key(&crate::VerifierBuilder::default().config);
+        let key = subjects.cache_key(&crate::VerifierBuilder::default().config);
         let value = encode_entry(&subjects, &verdict);
         for cut in 0..value.len() {
             assert!(

@@ -8,9 +8,9 @@
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 use retreet_lang::ast::Program;
+use retreet_lang::pretty::print_program;
 use retreet_mso::formula::Formula;
 
 use crate::cache::CacheKey;
@@ -61,98 +61,117 @@ impl Query<'_> {
             Query::Validity(_) => QueryKind::Validity,
         }
     }
+}
 
-    /// An owned copy of this query (the verdict cache verifies key hits by
-    /// full subject equality), taking each program from `share`: the cache
-    /// passes a resident copy when it holds an equal one and a fresh clone
-    /// otherwise.
-    pub(crate) fn to_owned_query_with(
-        self,
-        mut share: impl FnMut(&Program) -> Arc<Program>,
-    ) -> OwnedQuery {
+/// A race or equivalence query over program *source text*, for
+/// [`crate::Verifier::cached`]: the form a serving tier receives before it
+/// parses anything.  Only text byte-identical to a cached program's printed
+/// form (see [`retreet_lang::pretty::print_program`]) finds its verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SourceQuery<'a> {
+    /// A [`Query::DataRace`] over this program text.
+    DataRace(&'a str),
+    /// A [`Query::Equivalence`] over these program texts, original first.
+    Equivalence(&'a str, &'a str),
+}
+
+impl SourceQuery<'_> {
+    /// The kind of this query.
+    pub fn kind(&self) -> QueryKind {
         match self {
-            Query::DataRace(p) => OwnedQuery::DataRace(share(p)),
-            Query::Equivalence(a, b) => OwnedQuery::Equivalence(share(a), share(b)),
-            Query::Validity(f) => OwnedQuery::Validity(f.clone()),
+            SourceQuery::DataRace(_) => QueryKind::DataRace,
+            SourceQuery::Equivalence(_, _) => QueryKind::Equivalence,
         }
     }
 
-    /// The verdict-cache key of this query under `config`: a 128-bit
-    /// structural hash of the query subjects (two independently seeded
-    /// 64-bit hashes over the ASTs) combined with the query kind and the
-    /// option set.
-    ///
-    /// Earlier revisions keyed the cache on the *pretty-printed program
-    /// text*, re-canonicalizing every subject on every lookup; hashing the
-    /// AST directly at query construction is allocation-free and O(subject)
-    /// with a far smaller constant, and the stored key is a fixed-size
-    /// value instead of the whole program text.  The key remains
-    /// construction-independent: parsed, built and cloned subjects hash
-    /// identically because the hash walks the AST, not the source.
+    /// The verdict-cache key of this query under `config`; the same key
+    /// as a [`Query`] whose programs print to these texts.
     pub(crate) fn cache_key(&self, config: &EngineConfig) -> CacheKey {
-        let digest = |domain: u8| -> u64 {
-            let mut hasher = std::collections::hash_map::DefaultHasher::new();
-            domain.hash(&mut hasher);
-            config.hash(&mut hasher);
-            match self {
-                Query::DataRace(program) => program.hash(&mut hasher),
-                Query::Equivalence(original, transformed) => {
-                    original.hash(&mut hasher);
-                    transformed.hash(&mut hasher);
-                }
-                Query::Validity(formula) => formula.hash(&mut hasher),
+        match *self {
+            SourceQuery::DataRace(program) => cache_key(self.kind(), config, program),
+            SourceQuery::Equivalence(original, transformed) => {
+                cache_key(self.kind(), config, &(original, transformed))
             }
-            hasher.finish()
-        };
-        CacheKey {
-            kind: self.kind(),
-            h1: digest(0),
-            h2: digest(1),
         }
     }
 }
 
-/// An owned copy of a [`Query`]'s subjects.  Programs sit behind an `Arc`
-/// so that every cache entry over an equal program can share one copy.
+/// The verdict-cache key of subjects in their canonical form: the query
+/// kind plus a 128-bit hash (two independently seeded 64-bit hashes) of
+/// the option set and the subjects.
+///
+/// A program's canonical form is its printed text.  Text keys are back
+/// (an AST hash replaced them once, and made every hit parse its request
+/// and walk the AST) because they let a serving tier answer a request
+/// whose program text is already canonical without parsing it, and let an
+/// entry hold bytes instead of a tree.  They are cheap and exact: the
+/// printer writes into one buffer (a few microseconds for the largest
+/// corpus program) and is the parser's inverse on every source a client
+/// may send.
+fn cache_key(kind: QueryKind, config: &EngineConfig, subjects: &(impl Hash + ?Sized)) -> CacheKey {
+    let digest = |domain: u8| -> u64 {
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        domain.hash(&mut hasher);
+        config.hash(&mut hasher);
+        subjects.hash(&mut hasher);
+        hasher.finish()
+    };
+    CacheKey {
+        kind,
+        h1: digest(0),
+        h2: digest(1),
+    }
+}
+
+/// A query's subjects in the verdict cache's canonical form: each program
+/// as printed by [`print_program`], a formula as it is.  Two queries are
+/// the same query exactly when their canonical subjects are equal, so the
+/// cache's collision guard is a byte compare.
+#[derive(Debug, PartialEq)]
 pub(crate) enum OwnedQuery {
     /// Owned [`Query::DataRace`].
-    DataRace(Arc<Program>),
+    DataRace(Box<str>),
     /// Owned [`Query::Equivalence`].
-    Equivalence(Arc<Program>, Arc<Program>),
+    Equivalence(Box<str>, Box<str>),
     /// Owned [`Query::Validity`].
     Validity(Formula),
 }
 
 impl OwnedQuery {
-    /// The borrowed view of the owned subjects.
-    pub(crate) fn as_query(&self) -> Query<'_> {
-        match self {
-            OwnedQuery::DataRace(p) => Query::DataRace(p),
-            OwnedQuery::Equivalence(a, b) => Query::Equivalence(a, b),
-            OwnedQuery::Validity(f) => Query::Validity(f),
+    /// The canonical subjects of `query`, printing each program once.
+    pub(crate) fn printed(query: &Query<'_>) -> Self {
+        let print = |program: &Program| print_program(program).into_boxed_str();
+        match *query {
+            Query::DataRace(program) => OwnedQuery::DataRace(print(program)),
+            Query::Equivalence(original, transformed) => {
+                OwnedQuery::Equivalence(print(original), print(transformed))
+            }
+            Query::Validity(formula) => OwnedQuery::Validity(formula.clone()),
         }
     }
 
-    /// Full structural equality of the subjects — the collision guard the
-    /// verdict cache runs on every key hit (a 128-bit hash hit alone is not
-    /// proof the queries are the same).
-    pub(crate) fn matches(&self, query: &Query<'_>) -> bool {
-        match (self, query) {
-            (OwnedQuery::DataRace(p), Query::DataRace(q)) => **p == **q,
-            (OwnedQuery::Equivalence(a, b), Query::Equivalence(c, d)) => **a == **c && **b == **d,
-            (OwnedQuery::Validity(f), Query::Validity(g)) => f == *g,
+    /// The verdict-cache key of these subjects under `config`.
+    pub(crate) fn cache_key(&self, config: &EngineConfig) -> CacheKey {
+        match self {
+            OwnedQuery::DataRace(program) => cache_key(QueryKind::DataRace, config, &**program),
+            OwnedQuery::Equivalence(original, transformed) => cache_key(
+                QueryKind::Equivalence,
+                config,
+                &(&**original, &**transformed),
+            ),
+            OwnedQuery::Validity(formula) => cache_key(QueryKind::Validity, config, formula),
+        }
+    }
+
+    /// True when `source`'s texts are byte-identical to these programs.
+    pub(crate) fn matches_source(&self, source: &SourceQuery<'_>) -> bool {
+        match (self, *source) {
+            (OwnedQuery::DataRace(program), SourceQuery::DataRace(text)) => **program == *text,
+            (
+                OwnedQuery::Equivalence(original, transformed),
+                SourceQuery::Equivalence(first, second),
+            ) => **original == *first && **transformed == *second,
             _ => false,
         }
-    }
-
-    /// The subject programs: none for a validity query, the original before
-    /// the transformed one for an equivalence.
-    pub(crate) fn programs(&self) -> impl Iterator<Item = &Arc<Program>> {
-        let (first, second) = match self {
-            OwnedQuery::DataRace(p) => (Some(p), None),
-            OwnedQuery::Equivalence(a, b) => (Some(a), Some(b)),
-            OwnedQuery::Validity(_) => (None, None),
-        };
-        first.into_iter().chain(second)
     }
 }

@@ -122,6 +122,10 @@
 //! | `rayon::spawn` (the in-tree shim) | **removed** (its only caller was the parallel portfolio): use `rayon::scope` + `Scope::spawn`, or `rayon::join` |
 //! | `Engine::Trace` / `Soundness::BoundedUpTo` on the equivalence of a sequential program and its race-free parallel schedule (e.g. `ternary_sum_sequential` vs `ternary_sum_parallel`, the tuner's `par-passes` / `par-rec` candidates) | `Engine::Automata` / `Soundness::Unbounded` with `trees_checked() == 0`: a `Par` side that erases exactly and is structurally race-free is proved through its erasure (Theorem 2).  A racy `Par` side, a branch that returns or a local shared between branches still leaves the pair to `Engine::Trace` |
 //! | `verdict.engine == Engine::Automata` on a race witness or an equivalence counterexample | negative race and equivalence verdicts now come from the engine that owns the bounded search: races from `Engine::Configuration` (or `Engine::Trace` when the portfolio omits it), counterexamples from `Engine::Trace`.  The automata engine skips instead of running that search itself, so the witness bytes and `Soundness::Unbounded` are unchanged, and a racy or non-equivalent dispatch counts two engine runs (the automata skip, then the owner's answer) instead of one |
+//! | a serving tier parsing every `race` / `equivalence` request before its cache lookup | `verifier.cached(SourceQuery::DataRace(&text))` / `SourceQuery::Equivalence(&original, &transformed)` first: text byte-identical to a cached entry's printed programs is answered without parsing, validating or printing; a miss answers `None` and counts nothing, so parse and `verify` as before (that lookup counts the hit or miss).  `retreet-serve` does this for every such request |
+//! | the verdict cache identifying a program by its AST (`==`, structural hash), sharing one `Arc<Program>` between entries | a program is identified by its `print_program` text, byte-compared; entries hold that text, not the AST.  The printer keeps the `n.l` / `n.c0` spelling that `Program`'s `==` ignores, so one program sent in both spellings holds two entries (one extra miss, the same verdict).  A library `Query` costs one print per program per lookup |
+//! | a verdict store written before the cache keyed on program text | replays, but its keys hashed the AST, so each query misses once and is re-verified under its text key.  Replay now also parses and validates every stored program and skips (counts in `StoreStats::skipped`) a record that fails |
+//! | `print_program` output for a program the printer could not spell back (a brace group inside a statement list, a straight-line block split off by braces, `par { … }` with fewer than two branches, a `Loc` parameter not named `n`) | printed so that it parses back to the same program: braces where the parser's block structure needs them, `par {` for fewer than two branches, the function's own `Loc` name.  Normalized programs, the corpus, its fusions and every tune candidate print byte-identically |
 //!
 //! # Benchmarks
 //!
