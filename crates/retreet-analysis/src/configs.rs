@@ -657,23 +657,24 @@ fn ground_atom(
     symtab: &SharedSymTab,
     stack_sig: &str,
 ) -> Option<Atom> {
-    let mut expr = atom.expr().clone();
-    for sym in atom.expr().vars().collect::<Vec<_>>() {
-        let replacement = ground_sym(
-            sym,
-            tree,
-            loc,
-            local,
-            params,
-            param_names,
-            symtab,
-            stack_sig,
-        )?;
-        expr = expr.substitute(sym, &replacement);
-    }
+    let expr = ground_expr(
+        atom.expr(),
+        tree,
+        loc,
+        local,
+        params,
+        param_names,
+        symtab,
+        stack_sig,
+    )?;
     Some(Atom::new(expr, atom.rel()))
 }
 
+/// Grounds every symbol of `expr` at once.  Substituting one symbol at a
+/// time would be wrong: the summary's local table and the run's symbol
+/// table number their symbols independently, so a grounded symbol can
+/// carry the id of a local symbol still waiting for its own substitution,
+/// which the next step would then rewrite.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn ground_expr(
     expr: &LinExpr,
@@ -685,8 +686,8 @@ pub(crate) fn ground_expr(
     symtab: &SharedSymTab,
     stack_sig: &str,
 ) -> Option<LinExpr> {
-    let mut out = expr.clone();
-    for sym in expr.vars().collect::<Vec<_>>() {
+    let mut out = LinExpr::constant(expr.constant_term());
+    for (sym, coeff) in expr.terms() {
         let replacement = ground_sym(
             sym,
             tree,
@@ -697,7 +698,7 @@ pub(crate) fn ground_expr(
             symtab,
             stack_sig,
         )?;
-        out = out.substitute(sym, &replacement);
+        out = out + replacement.scale(coeff);
     }
     Some(out)
 }
@@ -916,6 +917,36 @@ mod tests {
         tree.add_left(root);
         tree.add_right(root);
         tree
+    }
+
+    #[test]
+    fn a_run_with_shared_state_enumerates_what_fresh_state_does() {
+        // One run's trees share a symbol table, whose ids are unrelated to
+        // a path summary's local ids.  Grounding one symbol at a time let a
+        // later step rewrite an already grounded symbol: on tree 10 of this
+        // corpus two `FoldMin` configurations went missing once the earlier
+        // trees had filled the shared table.
+        let program = corpus::kdtree_closest();
+        let ctx = AnalysisContext::new(&program);
+        let fields: Vec<&str> = ctx.fields.iter().map(String::as_str).collect();
+        let trees = crate::vtree::TreeCorpus::with_arity(program.arity, 3, &fields, 2);
+        let options = EnumOptions::default();
+        for i in 0..trees.len() {
+            let tree = trees.tree(i);
+            let shared = enumerate_shared(
+                &ctx.table,
+                &ctx.summaries,
+                &tree,
+                &options,
+                &ctx.cache,
+                &ctx.symtab,
+            );
+            let fresh = enumerate(&ctx.table, &tree, &options);
+            let describe = |configs: &[Configuration]| -> Vec<String> {
+                configs.iter().map(|c| c.describe(&ctx.table)).collect()
+            };
+            assert_eq!(describe(&shared), describe(&fresh), "tree {i}");
+        }
     }
 
     #[test]

@@ -14,13 +14,13 @@
 //! artifact MONA's counterexamples are manually mapped to in §5.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use retreet_lang::ast::Program;
 
 use crate::interp::{self, ExecOrder, Iteration, RunResult};
-use crate::par;
 use crate::vtree::{TreeCorpus, ValueTree};
+use crate::NEVER_CANCELLED;
 
 /// Options for the bounded equivalence check.
 ///
@@ -166,7 +166,7 @@ pub fn check_equivalence(
     transformed: &Program,
     options: &EquivOptions,
 ) -> EquivVerdict {
-    check_equivalence_cancellable(original, transformed, options, &crate::par::NEVER_CANCELLED)
+    check_equivalence_cancellable(original, transformed, options, &NEVER_CANCELLED)
         .expect("never-raised cancel flag cannot cancel the analysis")
 }
 
@@ -219,14 +219,14 @@ pub fn check_equivalence_cancellable(
     };
     // Identical trees (same shape, no fields to value) produce identical
     // deterministic runs; checking one representative per duplicate group is
-    // exact, and the representative is the tree the sequential loop would
-    // report first, so witnesses are unchanged.
-    let reps = corpus.representatives();
-    // Trees are checked in parallel with deterministic lowest-index-wins
-    // reduction, so the counterexample (when one exists) is exactly the one
-    // the sequential loop would report.
-    let hit = par::first_hit(reps.len(), cancel, |k| {
-        let tree = corpus.tree(reps[k]);
+    // exact.  Representatives are checked in corpus order and each is the
+    // first tree of its group, so the counterexample (when one exists) is
+    // the one the naive engine's loop over every tree reports.
+    for index in corpus.representatives() {
+        if cancel.load(Ordering::Relaxed) {
+            return None;
+        }
+        let tree = corpus.tree(index);
         let run_a = runner_a.run(&tree);
         let run_b = runner_b.run(&tree);
         let disagreement = match (run_a, run_b) {
@@ -235,17 +235,15 @@ pub fn check_equivalence_cancellable(
                 message: err.to_string(),
             }),
         };
-        disagreement.map(|disagreement| {
-            EquivVerdict::CounterExample(Box::new(EquivCounterExample { tree, disagreement }))
-        })
-    });
-    match hit {
-        par::Search::Hit(_, verdict) => Some(verdict),
-        par::Search::Cancelled => None,
-        par::Search::Exhausted => Some(EquivVerdict::Equivalent {
-            trees_checked: corpus.len(),
-        }),
+        if let Some(disagreement) = disagreement {
+            return Some(EquivVerdict::CounterExample(Box::new(
+                EquivCounterExample { tree, disagreement },
+            )));
+        }
     }
+    Some(EquivVerdict::Equivalent {
+        trees_checked: corpus.len(),
+    })
 }
 
 fn compare_runs(a: &RunResult, b: &RunResult, options: &EquivOptions) -> Option<Disagreement> {
@@ -398,9 +396,8 @@ fn dependence_order_violation(a: &RunResult, b: &RunResult) -> Option<String> {
     };
     // The per-tree pair scan is bounded by one trace's length; tree-level
     // cancellation (in the caller's corpus loop) is granular enough.
-    let hit = par::first_hit(shared.len(), &par::NEVER_CANCELLED, |i| {
-        let (sig_x, xa, xb) = shared[i];
-        for &(sig_y, ya, yb) in shared.iter().skip(i + 1) {
+    for (i, &(sig_x, xa, xb)) in shared.iter().enumerate() {
+        for &(sig_y, ya, yb) in &shared[i + 1..] {
             if !crate::interp::conflicting(&a.trace.iterations[xa], &a.trace.iterations[ya]) {
                 continue;
             }
@@ -418,9 +415,8 @@ fn dependence_order_violation(a: &RunResult, b: &RunResult) -> Option<String> {
                 ));
             }
         }
-        None
-    });
-    hit.into_hit().map(|(_, detail)| detail)
+    }
+    None
 }
 
 #[cfg(test)]

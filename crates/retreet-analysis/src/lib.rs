@@ -6,9 +6,15 @@
 //! transformation-correctness checking (`Conflict⟦P, P′⟧`, Theorem 3).
 //!
 //! The paper discharges these queries by encoding them to MSO over trees and
-//! calling MONA.  The reproduction replaces MONA with two complementary
-//! bounded engines (see DESIGN.md §3 for the substitution argument):
+//! calling MONA.  The reproduction answers them with its own analyses (see
+//! `crates/README.md`, "The substrate" and "The bounded-engine hot path",
+//! for the substitution argument):
 //!
+//! * the **structural analyses** ([`summary`], [`corresp`]) — unbounded
+//!   verdicts over every tree at once: transitive field-access summaries
+//!   with guarded regions decide race-freedom of a program's parallel
+//!   block pairs, and the fusion-correspondence matcher proves a fused
+//!   program equivalent to its passes in the style of Theorem 3;
 //! * the **configuration engine** ([`configs`], [`race`]) — enumerates the
 //!   paper's configurations over every tree up to a size bound, keeping
 //!   parameters and speculative call returns symbolic (discharged by
@@ -18,9 +24,12 @@
 //!   dynamic race validation and for differential equivalence checking of
 //!   fusions, including the Theorem 3 dependence-order condition.
 //!
-//! [`coarse`] adds the TreeFuser-style field-granularity baseline used by the
-//! ablation benchmarks, and [`vtree`] provides the concrete trees all of the
-//! above run on.
+//! The two bounded engines search trees in corpus order and item pairs in
+//! lexicographic order, so every witness is the first one in that order:
+//! the same on every run.  [`coarse`] adds the TreeFuser-style
+//! field-granularity baseline used by the ablation benchmarks, [`naive`]
+//! keeps the pre-optimization engines as a differential reference, and
+//! [`vtree`] provides the concrete trees all of the above run on.
 //!
 //! # Example: the paper's two headline verdicts
 //!
@@ -52,13 +61,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::sync::atomic::AtomicBool;
+
 pub mod coarse;
 pub mod configs;
 pub mod corresp;
 pub mod equiv;
 pub mod interp;
 pub mod naive;
-mod par;
 pub mod race;
 pub mod summary;
 pub mod vtree;
@@ -77,3 +87,7 @@ pub use race::{
     check_data_race_dynamic_cancellable, RaceOptions, RaceVerdict, RaceWitness,
 };
 pub use vtree::{test_trees, NodeId, ValueTree};
+
+/// A cancel flag that is never raised: what the non-cancellable entry
+/// points pass to their `*_cancellable` variants.
+static NEVER_CANCELLED: AtomicBool = AtomicBool::new(false);

@@ -291,23 +291,24 @@ fn ground_atom(
     symtab: &mut SymTab,
     stack_sig: &str,
 ) -> Option<Atom> {
-    let mut expr = atom.expr().clone();
-    for sym in atom.expr().vars().collect::<Vec<_>>() {
-        let replacement = ground_sym(
-            sym,
-            tree,
-            loc,
-            local,
-            params,
-            param_names,
-            symtab,
-            stack_sig,
-        )?;
-        expr = expr.substitute(sym, &replacement);
-    }
+    let expr = ground_expr(
+        atom.expr(),
+        tree,
+        loc,
+        local,
+        params,
+        param_names,
+        symtab,
+        stack_sig,
+    )?;
     Some(Atom::new(expr, atom.rel()))
 }
 
+/// Grounds every symbol of `expr` at once.  Substituting one symbol at a
+/// time would be wrong: the summary's local table and the run's symbol
+/// table number their symbols independently, so a grounded symbol can
+/// carry the id of a local symbol still waiting for its own substitution,
+/// which the next step would then rewrite.
 #[allow(clippy::too_many_arguments)]
 fn ground_expr(
     expr: &LinExpr,
@@ -319,8 +320,8 @@ fn ground_expr(
     symtab: &mut SymTab,
     stack_sig: &str,
 ) -> Option<LinExpr> {
-    let mut out = expr.clone();
-    for sym in expr.vars().collect::<Vec<_>>() {
+    let mut out = LinExpr::constant(expr.constant_term());
+    for (sym, coeff) in expr.terms() {
         let replacement = ground_sym(
             sym,
             tree,
@@ -331,7 +332,7 @@ fn ground_expr(
             symtab,
             stack_sig,
         )?;
-        out = out.substitute(sym, &replacement);
+        out = out + replacement.scale(coeff);
     }
     Some(out)
 }

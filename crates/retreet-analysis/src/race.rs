@@ -22,8 +22,8 @@ use retreet_logic::SolverCache;
 
 use crate::configs::{self, AnalysisContext, ConfigRelation, Configuration, EnumOptions};
 use crate::interp;
-use crate::par;
 use crate::vtree::{test_trees_kary, NodeId, TreeCorpus, ValueTree};
+use crate::NEVER_CANCELLED;
 
 /// Options for the bounded race analysis.
 ///
@@ -158,20 +158,19 @@ pub fn program_fields(table: &BlockTable) -> Vec<String> {
 ///
 /// The hot path shares one [`AnalysisContext`] across the run's trees —
 /// tree-independent path summaries, the solver memo cache, and the symbol
-/// table that keeps constraint symbols consistent between trees — and
-/// walks both the tree loop and the
-/// configuration-pair loop in parallel with deterministic
-/// first-witness-wins selection (lowest tree index, then lexicographically
-/// lowest pair), so the verdict and witness are identical to the sequential
-/// engine's.
+/// table that keeps constraint symbols consistent between trees.  Trees are
+/// searched in corpus order and each tree's configuration pairs in
+/// lexicographic order, so the witness is the lowest-index tree's lowest
+/// racing pair: the one the naive engine reports.
 pub fn check_data_race(program: &Program, options: &RaceOptions) -> RaceVerdict {
-    check_data_race_cancellable(program, options, &par::NEVER_CANCELLED)
+    check_data_race_cancellable(program, options, &NEVER_CANCELLED)
         .expect("never-raised cancel flag cannot cancel the analysis")
 }
 
 /// [`check_data_race`] with a cooperative cancel flag: returns `None` (and
 /// no verdict) as soon as `cancel` is observed raised, checking the flag
-/// once per enumerated tree and once per configuration-pair scan chunk.
+/// once per enumerated tree and once per outer index of the
+/// configuration-pair scan.
 ///
 /// The façade raises the flag when a query's deadline expires or its
 /// dispatch is aborted, so a cancelled run stops within one loop iteration
@@ -190,7 +189,11 @@ pub fn check_data_race_cancellable(
         &field_refs,
         options.valuations,
     );
-    let (total_configs, hit) = par::tally_until_hit(corpus.len(), cancel, |i| {
+    let mut total_configs = 0usize;
+    for i in 0..corpus.len() {
+        if cancel.load(Ordering::Relaxed) {
+            return None;
+        }
         let tree = corpus.tree(i);
         let configs = configs::enumerate_shared(
             table,
@@ -200,32 +203,32 @@ pub fn check_data_race_cancellable(
             &ctx.cache,
             &ctx.symtab,
         );
-        let witness = find_race(table, &tree, &configs, &ctx.cache, cancel);
-        (configs.len(), witness)
-    });
-    match hit {
-        par::Search::Hit(_, witness) => Some(RaceVerdict::Race(witness)),
-        par::Search::Cancelled => None,
-        // The per-tree pair scan inside the closure observes the flag too,
-        // and its cancellation surfaces there as "no witness" — which the
-        // tree loop only notices at its *next* iteration.  A raised flag
-        // after the final tree therefore means the scan may be partial:
-        // never derive a RaceFree verdict from it.
-        par::Search::Exhausted if cancel.load(Ordering::Relaxed) => None,
-        par::Search::Exhausted => Some(RaceVerdict::RaceFree {
-            trees_checked: corpus.len(),
-            configurations: total_configs,
-        }),
+        total_configs += configs.len();
+        if let Some(witness) = find_race(table, &tree, &configs, &ctx.cache, cancel) {
+            return Some(RaceVerdict::Race(witness));
+        }
     }
+    // The pair scan observes the flag too, and its cancellation surfaces as
+    // "no witness", which the tree loop only notices at its *next*
+    // iteration.  A raised flag after the final tree therefore means the
+    // scan may be partial: never derive a RaceFree verdict from it.
+    if cancel.load(Ordering::Relaxed) {
+        return None;
+    }
+    Some(RaceVerdict::RaceFree {
+        trees_checked: corpus.len(),
+        configurations: total_configs,
+    })
 }
 
 /// Searches the configuration-pair space of one tree for a parallel,
-/// dependent, mutually feasible pair — the §4 race condition.
+/// dependent, mutually feasible pair — the §4 race condition — and returns
+/// the lexicographically lowest one.
 ///
 /// The concrete access footprints are computed once per configuration (the
-/// naive engine recomputed them per *pair*), the pair loop fans out over the
-/// first index with lexicographically-lowest-pair reduction, and mutual
-/// feasibility is decided through the shared solver cache.
+/// naive engine recomputed them per *pair*), and mutual feasibility is
+/// decided through the shared solver cache.  A raised `cancel` flag ends
+/// the scan at the next outer index with no witness.
 fn find_race(
     table: &BlockTable,
     tree: &ValueTree,
@@ -248,8 +251,10 @@ fn find_race(
             }
             None
         };
-    let hit = par::first_hit(configs.len(), cancel, |i| {
-        let a = &configs[i];
+    for (i, a) in configs.iter().enumerate() {
+        if cancel.load(Ordering::Relaxed) {
+            return None;
+        }
         for (j, b) in configs.iter().enumerate().skip(i + 1) {
             if configs::relation(table, a, b) != ConfigRelation::Parallel {
                 continue;
@@ -268,14 +273,13 @@ fn find_race(
                 field,
             });
         }
-        None
-    });
-    hit.into_hit().map(|(_, witness)| witness)
+    }
+    None
 }
 
 /// The trace-based data-race check (dynamic validation engine).
 pub fn check_data_race_dynamic(program: &Program, options: &RaceOptions) -> RaceVerdict {
-    check_data_race_dynamic_cancellable(program, options, &par::NEVER_CANCELLED)
+    check_data_race_dynamic_cancellable(program, options, &NEVER_CANCELLED)
         .expect("never-raised cancel flag cannot cancel the analysis")
 }
 

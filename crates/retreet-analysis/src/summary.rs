@@ -24,6 +24,7 @@ use std::collections::BTreeSet;
 use retreet_lang::ast::{AExpr, BExpr, Ident, NodeRef, Program};
 use retreet_lang::blocks::{BlockId, BlockTable, PathElem, Relation};
 use retreet_lang::rw::rw_sets_of_block;
+use retreet_lang::validate::program_has_parallelism;
 use retreet_logic::bridge::ConjunctionBuilder;
 use retreet_logic::LinExpr;
 use retreet_mso::encode::{check_overlap_k, ChildStep, ConflictSide, Region, StructConstraint};
@@ -325,8 +326,12 @@ impl StructuralRaceAnalysis {
 /// static parallel pairs with subtree-summarized call regions covers all
 /// dynamic conflicts; `RaceFree` is therefore sound for every tree and
 /// valuation, while `Candidate` only means "could not be discharged
-/// structurally".
+/// structurally".  A program without `Par` has no parallel pair and is
+/// answered before any summary is built.
 pub fn structural_race_analysis(program: &Program) -> StructuralRaceAnalysis {
+    if !program_has_parallelism(program) {
+        return StructuralRaceAnalysis::RaceFree { pairs_examined: 0 };
+    }
     let table = BlockTable::build(program);
     let summaries = transitive_field_summaries(&table);
     let reachable = reachable_from_main(&table);
@@ -431,13 +436,31 @@ mod tests {
 
     #[test]
     fn sequential_programs_are_trivially_race_free() {
-        let analysis = structural_race_analysis(&corpus::size_counting_sequential());
-        match analysis {
-            StructuralRaceAnalysis::RaceFree { pairs_examined } => {
-                assert_eq!(pairs_examined, 0);
+        // Every corpus program without `Par` takes the early exit, and the
+        // full analysis agrees with it: no block pair is `Parallel`.
+        let mut sequential = 0;
+        for (name, program) in corpus::all() {
+            if program_has_parallelism(&program) {
+                continue;
             }
-            other => panic!("expected RaceFree, got {other:?}"),
+            sequential += 1;
+            match structural_race_analysis(&program) {
+                StructuralRaceAnalysis::RaceFree { pairs_examined } => {
+                    assert_eq!(pairs_examined, 0, "{name}");
+                }
+                other => panic!("{name}: expected RaceFree, got {other:?}"),
+            }
+            let table = BlockTable::build(&program);
+            for func in 0..program.funcs.len() {
+                let ids = table.blocks_of_func(func);
+                for (pos, &first) in ids.iter().enumerate() {
+                    for &second in &ids[pos + 1..] {
+                        assert_ne!(table.relation(first, second), Relation::Parallel, "{name}");
+                    }
+                }
+            }
         }
+        assert_eq!(sequential, 11, "corpus programs without `Par`");
     }
 
     #[test]

@@ -48,6 +48,8 @@ use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use retreet_lang::corpus;
+use retreet_lang::parse_program;
+use retreet_lang::pretty::print_program;
 use retreet_serve::{json, ServeOptions, Service};
 use retreet_verify::FaultPlan;
 
@@ -99,7 +101,7 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     if args.rounds == 0 {
-        args.rounds = if args.quick { 20 } else { 60 };
+        args.rounds = if args.quick { 200 } else { 1000 };
     }
     Ok(args)
 }
@@ -113,16 +115,23 @@ struct WorkItem {
 
 /// The §5 serving mix: every corpus race query, every known fusion pair,
 /// and a pair of validity queries — with the paper's expected verdicts.
+/// Programs are sent as the printer spells them, the text a canonical
+/// client sends and the verdict cache answers without parsing.
 fn workload() -> Vec<WorkItem> {
+    let printed = |source: &str| {
+        json::escape(&print_program(
+            &parse_program(source).expect("corpus source parses"),
+        ))
+    };
     let race = |source: &str, expected: &'static str| WorkItem {
-        line: format!(r#"{{"kind":"race","program":"{}"}}"#, json::escape(source)),
+        line: format!(r#"{{"kind":"race","program":"{}"}}"#, printed(source)),
         expected_verdict: expected,
     };
     let equiv = |original: &str, transformed: &str, expected: &'static str| WorkItem {
         line: format!(
             r#"{{"kind":"equivalence","original":"{}","transformed":"{}"}}"#,
-            json::escape(original),
-            json::escape(transformed)
+            printed(original),
+            printed(transformed)
         ),
         expected_verdict: expected,
     };
@@ -214,6 +223,7 @@ fn run_section(
         handles.push(std::thread::spawn(move || {
             let mut latencies = Vec::with_capacity(rounds * work.len());
             barrier.wait();
+            let started = Instant::now();
             for round in 0..rounds {
                 // Stagger thread start positions so concurrent threads hit
                 // different cache shards at any instant.
@@ -232,16 +242,25 @@ fn run_section(
                     }
                 }
             }
-            latencies
+            (latencies, started, Instant::now())
         }));
     }
     barrier.wait();
-    let start = Instant::now();
+    // The wall clock spans the clients' own first start and last finish: a
+    // clock read by this thread after the barrier can start late, once a
+    // short section is already under way.
     let mut latencies: Vec<u64> = Vec::new();
+    let mut span: Option<(Instant, Instant)> = None;
     for handle in handles {
-        latencies.extend(handle.join().expect("client thread panicked"));
+        let (client, started, finished) = handle.join().expect("client thread panicked");
+        latencies.extend(client);
+        span = Some(match span {
+            Some((first, last)) => (first.min(started), last.max(finished)),
+            None => (started, finished),
+        });
     }
-    let wall_seconds = start.elapsed().as_secs_f64();
+    let (first, last) = span.expect("every section has a client thread");
+    let wall_seconds = (last - first).as_secs_f64();
     latencies.sort_unstable();
     let percentile = |p: f64| -> u64 {
         let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
@@ -621,8 +640,10 @@ fn main() {
     out.push_str(
         "  \"methodology\": \"warm-cache NDJSON serving: corpus preloaded via warm_start, \
          then N client threads replay the full \\u00a75 request mix (race + equivalence + \
-         validity) against one shared Service; every response is checked against the \
-         paper's verdict; latencies are per-request wall clock including JSON parse; the \
+         validity) against one shared Service, sending each program as its printed \
+         text; every response is checked against the paper's verdict; latencies are \
+         per-request wall clock including JSON parse, and a section's wall clock runs \
+         from its clients' first start to their last finish; the \
          cold burst issues one identical cold query from 8 threads and asserts exactly one \
          dispatch (single-flight); v2 adds three fresh-service robustness phases: shed \
          rate under a full 1-slot cold queue with stalled engines, deadline-hit rate with \

@@ -53,7 +53,8 @@ impl Verdict {
 /// The outcome of one experiment run.
 #[derive(Debug, Clone)]
 pub struct ExperimentResult {
-    /// Experiment identifier (E1a, E1b, …) as used in DESIGN.md.
+    /// Experiment identifier (E1a, E1b, …), as in the `id` field of
+    /// `BENCH_engines.json` (see `crates/README.md`).
     pub id: &'static str,
     /// Human-readable description.
     pub description: &'static str,

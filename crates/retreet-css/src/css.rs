@@ -7,7 +7,7 @@
 //! useful subset of CSS (rules, declarations, `property: value` pairs with
 //! unit-bearing numeric values) and (b) a deterministic generator of
 //! realistic synthetic style sheets used by the benchmarks — the substitution
-//! is documented in DESIGN.md §3.
+//! is documented in `crates/README.md`, "The substrate".
 
 use std::fmt;
 

@@ -6,7 +6,8 @@
 //!
 //! * [`css`] — a tokenizer/parser for a practical subset of CSS, a
 //!   serializer, and a deterministic synthetic style-sheet generator
-//!   (substituting for production style sheets; see DESIGN.md §3);
+//!   (substituting for production style sheets; see `crates/README.md`,
+//!   "The substrate");
 //! * [`minify`] — the left-child/right-sibling binarization of the AST, the
 //!   three passes (`ConvertValues`, `MinifyFont`, `ReduceInit`) as tree
 //!   visitors, their fused single-pass form, and a flat reference

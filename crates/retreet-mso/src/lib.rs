@@ -4,7 +4,7 @@
 //! Monadic Second-Order logic over trees and discharges the resulting
 //! queries with the MONA WS2S solver.  MONA is external infrastructure this
 //! reproduction cannot vendor, so this crate provides the substitute
-//! substrate (documented in DESIGN.md §3):
+//! substrate (see `crates/README.md`, "The substrate"):
 //!
 //! * [`tree`] — finite labeled binary trees (the models) and exhaustive
 //!   shape enumeration;

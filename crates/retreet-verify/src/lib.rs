@@ -143,7 +143,7 @@ pub use retreet_store::CorruptionPolicy;
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 
@@ -751,16 +751,31 @@ impl Verifier {
         queries: &[Query<'_>],
         deadline: Option<Duration>,
     ) -> Vec<Result<Verdict, VerifyError>> {
-        let mut results: Vec<Option<Result<Verdict, VerifyError>>> = Vec::new();
-        results.resize_with(queries.len(), || None);
+        let mut slots: Vec<Option<Result<Verdict, VerifyError>>> = Vec::new();
+        slots.resize_with(queries.len(), || None);
+        let slots = Mutex::new(slots);
+        // Every worker, the calling thread included, pulls the next query
+        // until the batch is drained, so no worker idles while queries
+        // remain behind a long one.  The counter only hands out indices;
+        // results reach this thread through the mutex and the scope's join.
+        let next = AtomicUsize::new(0);
+        let work = || loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            let Some(query) = queries.get(index) else {
+                break;
+            };
+            let result = self.verify_impl(*query, deadline);
+            slots.lock().expect("batch slots poisoned")[index] = Some(result);
+        };
         rayon::scope(|s| {
-            for (slot, query) in results.iter_mut().zip(queries.iter()) {
-                s.spawn(move |_| {
-                    *slot = Some(self.verify_impl(*query, deadline));
-                });
+            for _ in 1..rayon::current_num_threads().min(queries.len()) {
+                s.spawn(|_| work());
             }
+            work();
         });
-        results
+        slots
+            .into_inner()
+            .expect("batch slots poisoned")
             .into_iter()
             .map(|slot| slot.expect("every batch slot is filled before the scope joins"))
             .collect()
@@ -1476,6 +1491,53 @@ mod tests {
             other => panic!("expected DeadlineExceeded after abort, got {other:?}"),
         }
         assert_eq!(verifier.serving_stats().cancelled_runs, 1);
+    }
+
+    #[test]
+    fn abort_inflight_cancels_the_bounded_searches_mid_run() {
+        // An exhaustive 9-node configuration search and an 11-node trace
+        // search each take far longer than this test.  Both check the flag
+        // between trees (the configuration engine also between outer pair
+        // indices), so the abort lands mid-scan and the query resolves with
+        // the typed deadline error instead of a verdict from a partial scan.
+        let race_free = corpus::size_counting_parallel();
+        let original = corpus::size_counting_sequential();
+        let fused = corpus::size_counting_fused();
+        let runs = [
+            (
+                Verifier::builder()
+                    .race_nodes(9)
+                    .engines([Engine::Configuration]),
+                Query::DataRace(&race_free),
+            ),
+            (
+                Verifier::builder().equiv_nodes(11).engines([Engine::Trace]),
+                Query::Equivalence(&original, &fused),
+            ),
+        ];
+        for (builder, query) in runs {
+            let verifier = builder.cache_capacity(0).build();
+            let outcome = std::thread::scope(|s| {
+                let worker = s.spawn(|| verifier.verify(query));
+                // The engine-run counter moves strictly after the dispatch
+                // registered its flag.
+                for _ in 0..3000 {
+                    if verifier.serving_stats().engine_runs >= 1 {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                assert!(verifier.abort_inflight() >= 1, "one flag was raised");
+                worker.join().expect("worker panicked")
+            });
+            match outcome {
+                Err(VerifyError::DeadlineExceeded { query: kind }) => {
+                    assert_eq!(kind, query.kind())
+                }
+                other => panic!("expected DeadlineExceeded after abort, got {other:?}"),
+            }
+            assert_eq!(verifier.serving_stats().cancelled_runs, 1);
+        }
     }
 
     #[test]

@@ -126,6 +126,8 @@
 //! | the verdict cache identifying a program by its AST (`==`, structural hash), sharing one `Arc<Program>` between entries | a program is identified by its `print_program` text, byte-compared; entries hold that text, not the AST.  The printer keeps the `n.l` / `n.c0` spelling that `Program`'s `==` ignores, so one program sent in both spellings holds two entries (one extra miss, the same verdict).  A library `Query` costs one print per program per lookup |
 //! | a verdict store written before the cache keyed on program text | replays, but its keys hashed the AST, so each query misses once and is re-verified under its text key.  Replay now also parses and validates every stored program and skips (counts in `StoreStats::skipped`) a record that fails |
 //! | `print_program` output for a program the printer could not spell back (a brace group inside a statement list, a straight-line block split off by braces, `par { … }` with fewer than two branches, a `Loc` parameter not named `n`) | printed so that it parses back to the same program: braces where the parser's block structure needs them, `par {` for fewer than two branches, the function's own `Loc` name.  Normalized programs, the corpus, its fusions and every tune candidate print byte-identically |
+//! | the bounded race and equivalence searches fanning their tree and pair loops out over rayon workers | they run in index order on the calling thread and stop at the first witness, which is the lowest-index one by construction: the witness the single-worker path always returned, now on every host.  `retreet-analysis` no longer depends on `rayon`; to use more cores, send independent queries through `verify_batch` or the serve cold-lane workers |
+//! | `RaceVerdict::RaceFree { configurations }` from a bounded race run | may be higher than before, and now always equals `retreet_analysis::naive::check_data_race`'s tally: grounding a path summary substituted one symbol at a time, so a run's shared symbol table could turn a grounded symbol into a local one and prune a feasible configuration (`kdtree_closest` at 3 nodes and 2 valuations: 4,600 → 4,604) |
 //!
 //! # Benchmarks
 //!

@@ -106,10 +106,12 @@ proptest! {
         prop_assert_eq!(parse_css(&reference.to_css()).unwrap(), reference);
     }
 
-    /// The optimized race engine (incremental solving, memo caches,
-    /// parallel pair loops) returns a verdict — and, for races, the exact
-    /// same witness — as the frozen pre-optimization naive engine, for
-    /// every program of the §5 corpus under arbitrary bounded budgets.
+    /// The optimized race engine (incremental solving, memo caches, shared
+    /// footprints) returns the same whole verdict as the frozen
+    /// pre-optimization naive engine, for every program of the §5 corpus
+    /// under arbitrary bounded budgets: for races the exact witness (the
+    /// lowest-index tree's lowest pair), for race-free programs the same
+    /// tree and configuration tallies.
     #[test]
     fn optimized_race_engine_matches_naive_across_corpus(
         max_nodes in 1usize..4,
@@ -123,29 +125,20 @@ proptest! {
             let naive = retreet_analysis::naive::check_data_race(&program, &options);
             let optimized = check_data_race(&program, &options);
             prop_assert_eq!(
-                naive.is_race_free(),
-                optimized.is_race_free(),
+                format!("{naive:?}"),
+                format!("{optimized:?}"),
                 "{}: race verdicts diverge at max_nodes={} valuations={}",
                 name,
                 max_nodes,
                 valuations
             );
-            match (naive.witness(), optimized.witness()) {
-                (None, None) => {}
-                (Some(a), Some(b)) => prop_assert_eq!(
-                    format!("{a:?}"),
-                    format!("{b:?}"),
-                    "{}: race witnesses diverge",
-                    name
-                ),
-                _ => prop_assert!(false, "{}: witness presence diverges", name),
-            }
         }
     }
 
-    /// The optimized equivalence engine returns verdicts — and identical
-    /// counterexamples — matching the naive path on every §5 fusion pair
-    /// under arbitrary bounded budgets.
+    /// The optimized equivalence engine returns the same whole verdict as
+    /// the naive path — the same counterexample tree and disagreement, or
+    /// the same tree tally — on every §5 fusion pair under arbitrary
+    /// bounded budgets.
     #[test]
     fn optimized_equivalence_engine_matches_naive_across_corpus(
         max_nodes in 1usize..5,
@@ -168,23 +161,13 @@ proptest! {
             let naive = retreet_analysis::naive::check_equivalence(original, transformed, &options);
             let optimized = check_equivalence(original, transformed, &options);
             prop_assert_eq!(
-                naive.is_equivalent(),
-                optimized.is_equivalent(),
+                format!("{naive:?}"),
+                format!("{optimized:?}"),
                 "{}: equivalence verdicts diverge at max_nodes={} valuations={}",
                 name,
                 max_nodes,
                 valuations
             );
-            match (naive.counterexample(), optimized.counterexample()) {
-                (None, None) => {}
-                (Some(a), Some(b)) => prop_assert_eq!(
-                    format!("{:?}", a.disagreement),
-                    format!("{:?}", b.disagreement),
-                    "{}: counterexamples diverge",
-                    name
-                ),
-                _ => prop_assert!(false, "{}: counterexample presence diverges", name),
-            }
         }
     }
 }
