@@ -34,7 +34,6 @@ pub mod lower;
 pub mod vm;
 
 use retreet_lang::ast::Program;
-use retreet_transform::CertifiedTransform;
 use retreet_verify::Verifier;
 
 pub use bytecode::{CompiledProgram, FuncCode};
@@ -44,7 +43,7 @@ pub use lower::{
     certify_lowering, lower_function, reconstruct_recursive, IterativeLowering,
     LoweringCertificate, LoweringError,
 };
-pub use vm::{run_program, Vm, VmError, VmResult};
+pub use vm::{Vm, VmError, VmResult};
 
 use std::fmt;
 
@@ -101,16 +100,6 @@ pub fn compile_with_lowering(
     compile::compile_program(program, &certified).map_err(CodegenError::Compile)
 }
 
-/// Compiles the *transformed* side of a certified transform (fusion,
-/// parallelization) with lowering — the compiled fast form of a program the
-/// verifier already certified equivalent to its original.
-pub fn compile_certified(
-    verifier: &Verifier,
-    transform: &CertifiedTransform,
-) -> Result<CompiledProgram, CodegenError> {
-    compile_with_lowering(verifier, &transform.transformed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,7 +147,7 @@ mod tests {
         let mut tree = ValueTree::complete(6, &["v"], |_, _| 0);
         tree.fill_fields(&["v"], 11);
         let expected = interp::run(&program, &tree).expect("interp");
-        let actual = run_program(&compiled, &tree).expect("vm");
+        let actual = Vm::new().run(&compiled, &tree).expect("vm");
         assert_eq!(expected.returns, actual.returns);
         assert!(trees_agree(&expected.tree, &actual.tree));
     }

@@ -86,12 +86,6 @@ pub struct Vm {
     retbuf: Vec<i64>,
 }
 
-/// Compiles nothing, runs one program on one tree: convenience wrapper
-/// around a throwaway [`Vm`].
-pub fn run_program(program: &CompiledProgram, tree: &ValueTree) -> Result<VmResult, VmError> {
-    Vm::new().run(program, tree)
-}
-
 impl Vm {
     /// A fresh VM with empty pools.
     pub fn new() -> Self {
@@ -436,7 +430,7 @@ mod tests {
         let program = parse_program(source).expect("parse");
         let compiled = crate::compile::compile(&program).expect("compile");
         let expected = interp::run(&program, tree);
-        let actual = run_program(&compiled, tree);
+        let actual = Vm::new().run(&compiled, tree);
         match (expected, actual) {
             (Ok(exp), Ok(act)) => {
                 assert_eq!(exp.returns, act.returns, "returns differ");
@@ -489,7 +483,7 @@ mod tests {
         let compiled = crate::compile::compile(&program).expect("compile");
         let tree = ValueTree::single();
         let exp = interp::run(&program, &tree).expect("interp");
-        let act = run_program(&compiled, &tree).expect("vm");
+        let act = Vm::new().run(&compiled, &tree).expect("vm");
         assert_eq!(exp.returns, act.returns);
         assert_eq!(act.returns, vec![20], "last returning branch wins");
         assert_eq!(act.tree.field(act.tree.root(), "a"), 1, "both branches ran");
@@ -517,7 +511,7 @@ mod tests {
         let program = parse_program(source).expect("parse");
         let compiled = crate::compile::compile(&program).expect("compile");
         let tree = ValueTree::single();
-        let act = run_program(&compiled, &tree).expect("vm");
+        let act = Vm::new().run(&compiled, &tree).expect("vm");
         assert_eq!(act.returns, vec![1]);
         assert_eq!(act.tree.field(act.tree.root(), "a"), 1);
         assert_eq!(act.tree.field(act.tree.root(), "b"), 2);
@@ -548,7 +542,7 @@ mod tests {
         let program = parse_program(source).expect("parse");
         let compiled = crate::compile::compile(&program).expect("compile");
         let tree = ValueTree::single();
-        let act = run_program(&compiled, &tree).expect("vm");
+        let act = Vm::new().run(&compiled, &tree).expect("vm");
         assert_eq!(act.returns, vec![5], "inner Par's return propagates");
         assert_eq!(act.tree.field(act.tree.root(), "a"), 1);
         assert_eq!(
@@ -585,7 +579,7 @@ mod tests {
         let program = parse_program(source).expect("parse");
         let compiled = crate::compile::compile(&program).expect("compile");
         let tree = ValueTree::single();
-        let act = run_program(&compiled, &tree).expect("vm");
+        let act = Vm::new().run(&compiled, &tree).expect("vm");
         assert_eq!(act.returns, vec![2], "the nested Par's later return wins");
         assert_eq!(act.tree.field(act.tree.root(), "a"), 1);
         assert_eq!(
@@ -632,13 +626,15 @@ mod tests {
         // the interpreter refuses — the worklist must refuse it too.
         let too_deep = left_chain(MAX_DEPTH);
         assert!(matches!(
-            run_program(&compiled, &too_deep),
+            Vm::new().run(&compiled, &too_deep),
             Err(VmError::DepthExceeded)
         ));
         // One node shorter, the deepest nil call sits exactly at MAX_DEPTH
         // and both tiers succeed.
         let just_fits = left_chain(MAX_DEPTH - 1);
-        let result = run_program(&compiled, &just_fits).expect("within the cap");
+        let result = Vm::new()
+            .run(&compiled, &just_fits)
+            .expect("within the cap");
         assert_eq!(result.returns, vec![0]);
         assert_eq!(result.tree.field(result.tree.root(), "v"), 1);
     }
@@ -680,10 +676,12 @@ mod tests {
             tree
         };
         assert!(matches!(
-            run_program(&compiled, &chain(MAX_DEPTH)),
+            Vm::new().run(&compiled, &chain(MAX_DEPTH)),
             Err(VmError::DepthExceeded)
         ));
-        let result = run_program(&compiled, &chain(MAX_DEPTH - 1)).expect("within the cap");
+        let result = Vm::new()
+            .run(&compiled, &chain(MAX_DEPTH - 1))
+            .expect("within the cap");
         assert_eq!(result.returns, vec![0]);
         assert_eq!(result.tree.field(result.tree.root(), "v"), 1);
     }
@@ -721,7 +719,7 @@ mod tests {
         let program = parse_program(source).expect("parse");
         let compiled = crate::compile::compile(&program).expect("compile");
         assert!(matches!(
-            run_program(&compiled, &tree),
+            Vm::new().run(&compiled, &tree),
             Err(VmError::NilDereference)
         ));
         check_against_interp(source, &tree);

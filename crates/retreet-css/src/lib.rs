@@ -9,9 +9,9 @@
 //!   (substituting for production style sheets; see `crates/README.md`,
 //!   "The substrate");
 //! * [`minify`] — the left-child/right-sibling binarization of the AST, the
-//!   three passes (`ConvertValues`, `MinifyFont`, `ReduceInit`) as tree
-//!   visitors, their fused single-pass form, and a flat reference
-//!   implementation they are validated against;
+//!   three passes (`ConvertValues`, `MinifyFont`, `ReduceInit`) as separate
+//!   post-order traversals, their fused single-pass form, and a flat
+//!   reference implementation they are validated against;
 //! * [`analysis_model`] — a bridge that converts a style sheet into the
 //!   integer-field `ValueTree` the analysis engines run on, so the fusion
 //!   verified by `retreet-analysis` (over the corpus programs of Fig. 8) is

@@ -13,7 +13,6 @@
 //!   initial value where one is known (`min-width: initial` → `min-width: 0`).
 
 use retreet_runtime::tree::TreeNode;
-use retreet_runtime::visit::{postorder_mut, run_passes, NodeVisitor};
 
 use crate::css::{Declaration, Stylesheet};
 
@@ -120,37 +119,27 @@ pub fn reduce_init_decl(decl: &mut Declaration) {
     }
 }
 
-fn declaration_visitor(apply: impl Fn(&mut Declaration) + Sync) -> impl NodeVisitor<CssNode> {
-    move |node: &mut CssNode, _: Option<&CssNode>, _: Option<&CssNode>| {
-        if let CssNode::Declaration(decl) = node {
-            apply(decl);
-        }
+/// One post-order traversal of the LCRS tree, applying `apply` to every
+/// declaration node.
+fn postorder_declarations(node: &mut TreeNode<CssNode>, apply: &impl Fn(&mut Declaration)) {
+    if let Some(left) = node.left.as_deref_mut() {
+        postorder_declarations(left, apply);
     }
-}
-
-/// The `ConvertValues` traversal as a tree visitor.
-pub fn convert_values_visitor() -> impl NodeVisitor<CssNode> {
-    declaration_visitor(convert_values_decl)
-}
-
-/// The `MinifyFont` traversal as a tree visitor.
-pub fn minify_font_visitor() -> impl NodeVisitor<CssNode> {
-    declaration_visitor(minify_font_decl)
-}
-
-/// The `ReduceInit` traversal as a tree visitor.
-pub fn reduce_init_visitor() -> impl NodeVisitor<CssNode> {
-    declaration_visitor(reduce_init_decl)
+    if let Some(right) = node.right.as_deref_mut() {
+        postorder_declarations(right, apply);
+    }
+    if let CssNode::Declaration(decl) = &mut node.value {
+        apply(decl);
+    }
 }
 
 /// Minifies a style sheet with three *separate* traversals of the LCRS tree
 /// (the unfused baseline of Fig. 8's `Main`).
 pub fn minify_unfused(sheet: &Stylesheet) -> Stylesheet {
     let mut tree = to_lcrs(sheet);
-    let convert = convert_values_visitor();
-    let font = minify_font_visitor();
-    let init = reduce_init_visitor();
-    run_passes(&mut tree, &[&convert, &font, &init]);
+    postorder_declarations(&mut tree, &convert_values_decl);
+    postorder_declarations(&mut tree, &minify_font_decl);
+    postorder_declarations(&mut tree, &reduce_init_decl);
     from_lcrs(&tree)
 }
 
@@ -158,14 +147,11 @@ pub fn minify_unfused(sheet: &Stylesheet) -> Stylesheet {
 /// transformation §5 verifies).
 pub fn minify_fused(sheet: &Stylesheet) -> Stylesheet {
     let mut tree = to_lcrs(sheet);
-    let fused = |node: &mut CssNode, _: Option<&CssNode>, _: Option<&CssNode>| {
-        if let CssNode::Declaration(decl) = node {
-            convert_values_decl(decl);
-            minify_font_decl(decl);
-            reduce_init_decl(decl);
-        }
-    };
-    postorder_mut(&mut tree, &fused);
+    postorder_declarations(&mut tree, &|decl: &mut Declaration| {
+        convert_values_decl(decl);
+        minify_font_decl(decl);
+        reduce_init_decl(decl);
+    });
     from_lcrs(&tree)
 }
 

@@ -35,11 +35,6 @@ pub fn update_router_data(node: &mut TreeNode<CycleNode>) {
 }
 
 /// The standalone `ComputeRouting` traversal (post-order over the tree).
-///
-/// Implemented as an explicit recursion (rather than a
-/// `retreet_runtime::visit` visitor) because the per-node block needs the
-/// children's freshly-computed router data, i.e. whole-child access rather
-/// than payload-only access.
 pub fn compute_routing(tree: &mut TreeNode<CycleNode>) {
     fn go(node: &mut TreeNode<CycleNode>) {
         if let Some(left) = node.left.as_deref_mut() {

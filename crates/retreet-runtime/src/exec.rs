@@ -1,11 +1,12 @@
 //! Program execution with tier selection: compiled bytecode first, the
 //! reference interpreter as fallback.
 //!
-//! A [`ProgramExecutor`] is built once per program and reused across trees:
-//! it holds the compiled [`CompiledProgram`] (when compilation succeeded), a
-//! pooled [`Vm`] behind a mutex (held for the VM run only, never for tree
-//! building), and the interpreter's prebuilt [`BlockTable`] for the
-//! fallback path.  [`ProgramExecutor::run_complete`] runs on a seeded
+//! A [`ProgramExecutor`] is built once per program and reused across trees
+//! and threads: it holds the compiled [`CompiledProgram`] (when compilation
+//! succeeded) and the interpreter's prebuilt [`BlockTable`] for the
+//! fallback path.  VM runs use the calling thread's pooled [`Vm`], so
+//! clients running one executor from different threads never wait for each
+//! other.  [`ProgramExecutor::run_complete`] runs on a seeded
 //! complete tree that the VM tier builds directly in flat form.
 //! Construction through [`ProgramExecutor::with_verifier`] additionally
 //! runs the certified iterative-lowering pipeline of `retreet-codegen`, so
@@ -16,9 +17,8 @@
 //! the interpreter would raise identically, so they are reported, not used
 //! as a reason to fall back.
 
+use std::cell::RefCell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use retreet_analysis::interp::{self, InterpError};
 use retreet_analysis::vtree::ValueTree;
@@ -28,8 +28,20 @@ use retreet_codegen::{
 };
 use retreet_lang::ast::Program;
 use retreet_lang::blocks::BlockTable;
-use retreet_transform::CertifiedTransform;
 use retreet_verify::Verifier;
+
+thread_local! {
+    /// The calling thread's pooled VM, shared by every executor the thread
+    /// runs.  [`Vm::run_flat`] clears its pools on entry, so a run that
+    /// failed or panicked leaves nothing behind for the next one.
+    static VM: RefCell<Vm> = RefCell::new(Vm::new());
+}
+
+/// One VM run on a flat tree, on the calling thread's pooled VM.
+fn run_vm(compiled: &CompiledProgram, tree: &mut FlatTree) -> Result<Vec<i64>, ExecError> {
+    VM.with(|vm| vm.borrow_mut().run_flat(compiled, tree))
+        .map_err(ExecError::Vm)
+}
 
 /// Which execution tier ran (or would run) a program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,9 +110,6 @@ impl std::error::Error for ExecError {}
 pub struct ProgramExecutor {
     table: BlockTable,
     compiled: Option<CompiledProgram>,
-    vm: Mutex<Vm>,
-    vm_runs: AtomicU64,
-    interp_runs: AtomicU64,
 }
 
 impl ProgramExecutor {
@@ -124,9 +133,6 @@ impl ProgramExecutor {
         ProgramExecutor {
             table: BlockTable::build(program),
             compiled,
-            vm: Mutex::new(Vm::new()),
-            vm_runs: AtomicU64::new(0),
-            interp_runs: AtomicU64::new(0),
         }
     }
 
@@ -160,7 +166,7 @@ impl ProgramExecutor {
             Some(compiled) => {
                 let mut flat =
                     FlatTree::from_value_tree_kary(tree, &compiled.fields, compiled.arity);
-                let returns = self.run_vm(compiled, &mut flat)?;
+                let returns = run_vm(compiled, &mut flat)?;
                 Ok(ExecOutcome {
                     returns,
                     tree: flat.write_back(tree, &compiled.fields),
@@ -188,7 +194,7 @@ impl ProgramExecutor {
         match &self.compiled {
             Some(compiled) => {
                 let mut tree = FlatTree::complete_kary(arity, height, &compiled.fields, seed);
-                let returns = self.run_vm(compiled, &mut tree)?;
+                let returns = run_vm(compiled, &mut tree)?;
                 Ok(CompleteRun {
                     returns,
                     nodes: tree.len(),
@@ -210,67 +216,23 @@ impl ProgramExecutor {
         }
     }
 
-    /// One VM run on a flat tree.  The pooled VM is locked for the run
-    /// alone, so concurrent callers of one executor overlap their tree
-    /// building and write-back.
-    fn run_vm(
-        &self,
-        compiled: &CompiledProgram,
-        tree: &mut FlatTree,
-    ) -> Result<Vec<i64>, ExecError> {
-        let returns = self
-            .vm
-            .lock()
-            .expect("vm lock")
-            .run_flat(compiled, tree)
-            .map_err(ExecError::Vm)?;
-        self.vm_runs.fetch_add(1, Ordering::Relaxed);
-        Ok(returns)
-    }
-
     /// Runs the program on the interpreter tier unconditionally (the
     /// differential baseline).
     pub fn run_interpreted(&self, tree: &ValueTree) -> Result<ExecOutcome, ExecError> {
         let result = interp::run_with_table(&self.table, tree).map_err(ExecError::Interp)?;
-        self.interp_runs.fetch_add(1, Ordering::Relaxed);
         Ok(ExecOutcome {
             returns: result.returns,
             tree: result.tree,
             tier: ExecTier::Interpreter,
         })
     }
-
-    /// How many runs the VM tier has served.
-    pub fn vm_runs(&self) -> u64 {
-        self.vm_runs.load(Ordering::Relaxed)
-    }
-
-    /// How many runs the interpreter tier has served.
-    pub fn interp_runs(&self) -> u64 {
-        self.interp_runs.load(Ordering::Relaxed)
-    }
-}
-
-/// One-shot convenience: compile (without lowering) and run `program` on
-/// `tree`, preferring the compiled tier.
-pub fn run_compiled(program: &Program, tree: &ValueTree) -> Result<ExecOutcome, ExecError> {
-    ProgramExecutor::new(program).run(tree)
-}
-
-/// One-shot convenience for a certified transform: compile the transformed
-/// program — with certified lowering — and run it.
-pub fn run_compiled_certified(
-    verifier: &Verifier,
-    transform: &CertifiedTransform,
-    tree: &ValueTree,
-) -> Result<ExecOutcome, ExecError> {
-    ProgramExecutor::with_verifier(verifier, &transform.transformed).run(tree)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use retreet_lang::corpus;
+    use std::sync::Barrier;
 
     #[test]
     fn executor_prefers_vm_and_matches_interpreter() {
@@ -284,8 +246,37 @@ mod tests {
         assert_eq!(fast.tier, ExecTier::Vm);
         assert_eq!(slow.tier, ExecTier::Interpreter);
         assert_eq!(fast.returns, slow.returns);
-        assert_eq!(executor.vm_runs(), 1);
-        assert_eq!(executor.interp_runs(), 1);
+    }
+
+    #[test]
+    fn threads_sharing_one_executor_each_match_the_interpreter() {
+        let program = corpus::tree_mutation_original();
+        let executor = ProgramExecutor::new(&program);
+        let fields = program_fields(&program);
+        let refs: Vec<&str> = fields.iter().map(String::as_str).collect();
+        let mut tree = ValueTree::complete_kary(2, 10, &refs, |_, _| 0);
+        tree.fill_fields(&refs, 5);
+        let expected = executor.run_interpreted(&tree).expect("interp run");
+        let barrier = Barrier::new(2);
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        let full = executor.run(&tree).expect("vm run");
+                        let complete = executor.run_complete(2, 10, 5).expect("vm run_complete");
+                        (full, complete)
+                    })
+                })
+                .collect();
+            for worker in workers {
+                let (full, complete) = worker.join().expect("worker thread");
+                assert_eq!(full.tier, ExecTier::Vm);
+                assert_eq!(full.returns, expected.returns);
+                assert!(retreet_codegen::trees_agree(&full.tree, &expected.tree));
+                assert_eq!(complete.returns, expected.returns);
+            }
+        });
     }
 
     #[test]

@@ -1,13 +1,8 @@
-//! Owned binary trees for traversal execution.
+//! Owned binary trees for the case-study substrates.
 //!
-//! The runtime uses a `Box`-based representation ([`TreeNode`]) rather than an
-//! arena: the left and right subtrees are disjoint owned values, which is
-//! exactly what lets rayon's `join` hand `&mut` references to both halves to
-//! two worker threads without any synchronization — the same data-race-freedom
-//! argument the paper's `Parallel` relation captures for iterations on
-//! disjoint subtrees.
-
-use std::fmt;
+//! The CSS minifier and the cycletree case study hold their concrete ASTs
+//! as [`TreeNode`]s and walk them with plain recursion: each node owns its
+//! subtrees, so a pass borrows a child `&mut` without arena indices.
 
 /// A node of an owned binary tree carrying a payload of type `T`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,15 +25,6 @@ impl<T> TreeNode<T> {
         }
     }
 
-    /// A node with the given subtrees.
-    pub fn new(value: T, left: Option<TreeNode<T>>, right: Option<TreeNode<T>>) -> Self {
-        TreeNode {
-            value,
-            left: left.map(Box::new),
-            right: right.map(Box::new),
-        }
-    }
-
     /// Number of nodes in the subtree rooted here.
     pub fn len(&self) -> usize {
         1 + self.left.as_ref().map_or(0, |n| n.len()) + self.right.as_ref().map_or(0, |n| n.len())
@@ -58,20 +44,6 @@ impl<T> TreeNode<T> {
             .max(self.right.as_ref().map_or(0, |n| n.height()))
     }
 
-    /// True when the node has no children.
-    pub fn is_leaf(&self) -> bool {
-        self.left.is_none() && self.right.is_none()
-    }
-
-    /// Applies `f` to every payload, building a structurally identical tree.
-    pub fn map<U>(&self, f: &impl Fn(&T) -> U) -> TreeNode<U> {
-        TreeNode {
-            value: f(&self.value),
-            left: self.left.as_ref().map(|n| Box::new(n.map(f))),
-            right: self.right.as_ref().map(|n| Box::new(n.map(f))),
-        }
-    }
-
     /// Collects references to the payloads in pre-order.
     pub fn preorder(&self) -> Vec<&T> {
         let mut out = Vec::with_capacity(self.len());
@@ -86,38 +58,6 @@ impl<T> TreeNode<T> {
         }
         if let Some(right) = &self.right {
             right.preorder_into(out);
-        }
-    }
-
-    /// Collects references to the payloads in post-order.
-    pub fn postorder(&self) -> Vec<&T> {
-        let mut out = Vec::with_capacity(self.len());
-        self.postorder_into(&mut out);
-        out
-    }
-
-    fn postorder_into<'a>(&'a self, out: &mut Vec<&'a T>) {
-        if let Some(left) = &self.left {
-            left.postorder_into(out);
-        }
-        if let Some(right) = &self.right {
-            right.postorder_into(out);
-        }
-        out.push(&self.value);
-    }
-}
-
-impl<T: fmt::Display> TreeNode<T> {
-    /// A compact single-line rendering `value(left, right)`.
-    pub fn render(&self) -> String {
-        match (&self.left, &self.right) {
-            (None, None) => format!("{}", self.value),
-            (l, r) => format!(
-                "{}({}, {})",
-                self.value,
-                l.as_ref().map_or_else(|| "·".to_string(), |n| n.render()),
-                r.as_ref().map_or_else(|| "·".to_string(), |n| n.render()),
-            ),
         }
     }
 }
@@ -189,26 +129,10 @@ mod tests {
         let tree = complete_tree(4, &|i| i);
         assert_eq!(tree.len(), 15);
         assert_eq!(tree.height(), 4);
-        assert!(!tree.is_leaf());
-        assert!(complete_tree(1, &|i| i).is_leaf());
-    }
-
-    #[test]
-    fn traversal_orders() {
-        // Tree: 0(1, 2).
-        let tree = TreeNode::new(0, Some(TreeNode::leaf(1)), Some(TreeNode::leaf(2)));
-        assert_eq!(tree.preorder(), vec![&0, &1, &2]);
-        assert_eq!(tree.postorder(), vec![&1, &2, &0]);
-        assert_eq!(tree.render(), "0(1, 2)");
-    }
-
-    #[test]
-    fn map_preserves_structure() {
-        let tree = complete_tree(3, &|i| i as i64);
-        let doubled = tree.map(&|v| v * 2);
-        assert_eq!(doubled.len(), tree.len());
-        assert_eq!(doubled.value, 0);
-        assert_eq!(doubled.left.as_ref().unwrap().value, 2);
+        assert_eq!(complete_tree(1, &|i| i).len(), 1);
+        // Pre-order visits root, left, right; payloads are breadth-first
+        // indices.
+        assert_eq!(complete_tree(2, &|i| i).preorder(), vec![&0, &1, &2]);
     }
 
     #[test]
@@ -224,6 +148,6 @@ mod tests {
     #[test]
     fn single_node_random_tree() {
         let tree = random_tree(1, 0, &|i| i);
-        assert!(tree.is_leaf());
+        assert_eq!((tree.len(), tree.height()), (1, 1));
     }
 }

@@ -1,10 +1,9 @@
 //! The VM-backed side of the schedule autotuner: wire
 //! `retreet_transform::tune`'s search to the real execution tier.
 //!
-//! `retreet-transform` cannot name the VM (the codegen crate depends on it
-//! for [`CertifiedTransform`](retreet_transform::CertifiedTransform)), so
-//! its [`tune`] entry point takes a cost
-//! closure.  [`tune_and_compile`] supplies the canonical one:
+//! `retreet-transform` sits below this crate and never runs a program, so
+//! its [`tune`] entry point takes a cost closure (its own tests pass
+//! synthetic costs).  [`tune_and_compile`] supplies the canonical one:
 //!
 //! * every candidate is compiled **once** through
 //!   [`ProgramExecutor::with_verifier`], so certified iterative lowering

@@ -26,8 +26,7 @@
 //!   verdict (Theorem 2).
 //!
 //! A user-supplied candidate can also be certified without construction via
-//! [`certify_fusion`] / [`certify_parallelization`] — the path
-//! `retreet_runtime`'s capability types are thin wrappers over.
+//! [`certify_fusion`] / [`certify_parallelization`].
 //!
 //! On top of both families sits the **certified schedule autotuner**
 //! ([`fn@tune`]): it enumerates contiguous partial-fusion groupings of `Main`'s
@@ -137,7 +136,7 @@ impl fmt::Display for Certificate {
 /// them together.  Values of this type are only constructible through the
 /// certifying entry points of this crate — `#[non_exhaustive]` keeps the
 /// fields readable but blocks struct-literal forgery downstream, so a
-/// capability minted from a `CertifiedTransform` always rests on a real
+/// program taken from a `CertifiedTransform` always rests on a real
 /// verdict.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
@@ -334,6 +333,19 @@ mod tests {
         let certified = certify_parallelization(&verifier, &parallel, &parallel)
             .expect("Odd ‖ Even is race-free");
         assert_eq!(certified.certificate.kind, CertificateKind::RaceFreedom);
+        // The automata tier proves race freedom structurally, without
+        // enumerating a configuration.
+        assert_eq!(certified.certificate.engine(), Engine::Automata);
+        assert!(matches!(
+            certified.certificate.verdict.outcome,
+            Outcome::RaceFree {
+                configurations: 0,
+                ..
+            }
+        ));
+        // Certifying the same program again is a verdict-cache hit.
+        certify_parallelization(&verifier, &parallel, &parallel).expect("cached");
+        assert_eq!(verifier.cache_stats().hits, 1);
 
         let racy = corpus::cycletree_parallel();
         match certify_parallelization(&verifier, &racy, &racy) {
@@ -347,6 +359,10 @@ mod tests {
         let no_main = retreet_lang::parse_program("fn F(n) { return 0; }").unwrap();
         assert!(matches!(
             certify_parallelization(&verifier(), &no_main, &no_main),
+            Err(TransformError::Rejected(VerifyError::InvalidProgram { .. }))
+        ));
+        assert!(matches!(
+            certify_fusion(&verifier(), &no_main, &no_main),
             Err(TransformError::Rejected(VerifyError::InvalidProgram { .. }))
         ));
     }

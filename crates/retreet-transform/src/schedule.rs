@@ -9,7 +9,7 @@
 //! * [`parallelize_recursive_calls`] — *recursion-level*: inside every
 //!   traversal function, sibling recursive calls that descend into
 //!   *distinct* children become parallel branches (the disjoint-subtree
-//!   parallelism `retreet_runtime`'s rayon schedules exploit).
+//!   parallelism Theorem 2 licenses).
 //!
 //! The rewriters only group calls that are syntactically independent
 //! (disjoint result bindings, no argument reading an earlier result); the
@@ -155,8 +155,8 @@ pub fn synthesize_parallel_main(
 
 /// Rewrites sibling recursive calls on distinct children into parallel
 /// compositions across every non-`Main` function, and certifies the result
-/// race-free — the source-level counterpart of the runtime's
-/// `par_postorder` schedule.
+/// race-free: each parallel branch descends into a subtree no sibling
+/// branch touches.
 pub fn parallelize_recursive_calls(
     verifier: &Verifier,
     program: &Program,

@@ -49,9 +49,9 @@
 //! baseline).  The canonical cost model is `retreet_runtime`'s
 //! `tune_and_compile`, which compiles each candidate once through the
 //! `retreet-codegen` VM tier (with certified iterative lowering) and times
-//! best-of-N runs on a seeded tree — never the interpreter.  The crate
-//! layering forces this inversion: `retreet-codegen` depends on this crate
-//! for [`CertifiedTransform`], so the VM cannot be named here.
+//! best-of-N runs on a seeded tree — never the interpreter.  This crate
+//! never runs a program: execution lives above it, in `retreet-runtime`,
+//! and the tests here measure with synthetic costs.
 //!
 //! # The guarantee
 //!
@@ -526,8 +526,8 @@ fn enumerate_candidates(
 /// better — or an error when the program cannot be measured on the required
 /// tier (such a candidate stays in the table but cannot win).  Use
 /// `retreet_runtime::tune_and_compile` for the canonical VM-backed cost
-/// model; the closure indirection exists because the VM crate sits above
-/// this one in the dependency order.
+/// model; the closure indirection exists because the executor crate sits
+/// above this one in the dependency order.
 ///
 /// Errors: [`TransformError::UnsupportedShape`] when `Main` has no fusable
 /// run or the original program cannot be measured;

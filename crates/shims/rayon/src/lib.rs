@@ -1,15 +1,14 @@
 //! Offline, in-tree substitute for the subset of [rayon] this workspace
-//! uses: [`join`], [`scope`] and [`current_num_threads`].
+//! uses: [`scope`] and [`current_num_threads`], with which
+//! `Verifier::verify_batch` spreads a batch of queries over worker threads.
 //!
 //! The container this reproduction builds in has no registry access, so the
 //! real rayon cannot be vendored.  This shim provides the same semantics
 //! (fork–join parallelism over OS threads) with a much simpler scheduler: a
 //! global token counter bounds the number of live worker threads to the
 //! machine's parallelism, and once the tokens are exhausted every further
-//! `join` or scope spawn degrades gracefully to sequential execution in the
-//! calling thread.  That is exactly the behaviour the traversal schedules
-//! and the verifier's batch fan-out rely on (correctness never depends on
-//! real concurrency, only speed does).
+//! scope spawn degrades gracefully to sequential execution in the calling
+//! thread.  Correctness never depends on real concurrency, only speed does.
 //!
 //! [rayon]: https://crates.io/crates/rayon
 
@@ -25,7 +24,7 @@ static ACTIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
 ///
 /// Cached after the first call: `std::thread::available_parallelism` reads
 /// procfs/cgroupfs on Linux (tens of microseconds), and this function sits
-/// on the `join` / scope-spawn hot path.
+/// on the scope-spawn hot path.
 pub fn current_num_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
@@ -37,7 +36,7 @@ pub fn current_num_threads() -> usize {
 
 /// Tries to reserve one worker token; returns whether the reservation
 /// succeeded.  Tokens bound the total number of extra OS threads alive at
-/// any moment, across nested joins and scopes.
+/// any moment, across nested scopes.
 fn try_reserve_worker() -> bool {
     let limit = current_num_threads();
     let mut current = ACTIVE_WORKERS.load(Ordering::Relaxed);
@@ -65,33 +64,6 @@ struct WorkerToken;
 impl Drop for WorkerToken {
     fn drop(&mut self) {
         ACTIVE_WORKERS.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Runs the two closures, potentially in parallel, and returns both results.
-///
-/// Mirrors `rayon::join`: `b` is offloaded to another thread when a worker
-/// token is available, otherwise both closures run sequentially in the
-/// calling thread.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if try_reserve_worker() {
-        std::thread::scope(|s| {
-            let handle = s.spawn(move || {
-                let _token = WorkerToken;
-                b()
-            });
-            let ra = a();
-            let rb = handle.join().expect("rayon-shim: joined task panicked");
-            (ra, rb)
-        })
-    } else {
-        (a(), b())
     }
 }
 
@@ -144,28 +116,6 @@ mod tests {
     fn exclusive_tokens() -> MutexGuard<'static, ()> {
         // A failed sibling test must not cascade into every later one.
         TOKENS.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let _tokens = exclusive_tokens();
-        let (a, b) = join(|| 2 + 2, || "ok");
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
-    }
-
-    #[test]
-    fn nested_joins_do_not_deadlock_or_leak_tokens() {
-        let _tokens = exclusive_tokens();
-        fn sum(depth: u32) -> u64 {
-            if depth == 0 {
-                return 1;
-            }
-            let (l, r) = join(|| sum(depth - 1), || sum(depth - 1));
-            l + r
-        }
-        assert_eq!(sum(10), 1024);
-        assert_eq!(ACTIVE_WORKERS.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -32,5 +32,6 @@ fn main() {
     for (from, to) in [(0i64, 30i64), (7, 23), (30, 1)] {
         let path = route_path(&tree, from, to);
         println!("route {from:>2} -> {to:>2}: {path:?}");
+        assert_eq!(path.last(), Some(&to), "the route ends at its destination");
     }
 }

@@ -1,8 +1,8 @@
 //! Parallel traversal gated by a synthesized, certified schedule: the
 //! transform layer rewrites the *sequential* size-counting program into the
 //! parallel composition of Fig. 3, the race-freedom verdict certifies it
-//! (E1c of the evaluation), and the runtime then computes the Odd/Even
-//! counts with a parallel fold.
+//! (E1c of the evaluation), and the certified program then computes the
+//! Odd/Even counts on the VM.
 //!
 //! ```bash
 //! cargo run --release --example parallel_traversal
@@ -10,10 +10,11 @@
 
 use std::time::Instant;
 
+use retreet_analysis::interp;
+use retreet_analysis::vtree::ValueTree;
+use retreet_lang::blocks::BlockTable;
 use retreet_lang::corpus;
-use retreet_runtime::tree::complete_tree;
-use retreet_runtime::visit::{par_fold, seq_fold};
-use retreet_runtime::VerifiedParallelization;
+use retreet_runtime::ProgramExecutor;
 use retreet_transform::synthesize_parallel_main;
 use retreet_verify::Verifier;
 
@@ -27,48 +28,12 @@ fn main() {
         "synthesized this parallel schedule:\n{}",
         certified.transformed_source()
     );
-    let capability =
-        VerifiedParallelization::from_certified(&certified).expect("race-freedom certificate");
-    println!(
-        "race-freedom established over {} trees ({} configurations) by the {} engine",
-        capability.trees_checked(),
-        capability.configurations(),
-        capability.engine()
-    );
+    println!("{}", certified.certificate);
 
-    // 2. Execution: count odd-layer and even-layer nodes of a large tree,
-    //    sequentially and in parallel.
-    let tree = complete_tree(22, &|_| ());
-    let combine = |_: &(), (lo, le): (u64, u64), (ro, re): (u64, u64)| (le + re + 1, lo + ro);
-
-    let start = Instant::now();
-    let seq = seq_fold(&tree, &|| (0, 0), &combine);
-    let seq_time = start.elapsed();
-
-    let start = Instant::now();
-    let par = par_fold(&tree, 1 << 12, &|| (0, 0), &combine);
-    let par_time = start.elapsed();
-
-    assert_eq!(seq, par);
-    println!("odd-layer nodes: {}, even-layer nodes: {}", par.0, par.1);
-    println!(
-        "sequential: {:?}, parallel: {:?} ({:.2}x speedup on {} threads)",
-        seq_time,
-        par_time,
-        seq_time.as_secs_f64() / par_time.as_secs_f64().max(1e-9),
-        rayon::current_num_threads()
-    );
-
-    // 3. The compiled tier: the same certified parallel program, lowered to
-    //    register bytecode and run on the VM (Par branches keep the
-    //    reference interpreter's sequential semantics — the race
-    //    certificate is what licenses the true parallel schedule above),
-    //    with the interpreter timed as the baseline.
-    use retreet_analysis::interp;
-    use retreet_analysis::vtree::ValueTree;
-    use retreet_lang::blocks::BlockTable;
-    use retreet_runtime::ProgramExecutor;
-
+    // 2. Execution: the certified parallel program, lowered to register
+    //    bytecode and run on the VM (Par branches keep the reference
+    //    interpreter's sequential semantics), with the interpreter timed as
+    //    the baseline.
     let executor = ProgramExecutor::with_verifier(&verifier, &certified.transformed);
     let vtree = ValueTree::complete(13, &[], |_, _| 0);
     let table = BlockTable::build(&certified.transformed);
@@ -79,10 +44,14 @@ fn main() {
     let outcome = executor.run(&vtree).expect("compiled run");
     let vm_time = start.elapsed();
     assert_eq!(reference.returns, outcome.returns);
+    let [odd, even] = outcome.returns[..] else {
+        panic!("Main returns the two counts, got {:?}", outcome.returns);
+    };
+    assert_eq!((odd + even) as usize, vtree.len());
+    println!("odd-layer nodes: {odd}, even-layer nodes: {even}");
     println!(
-        "compiled tier ({}): returns {:?}; interpreter {:?} vs VM {:?} ({:.2}x)",
+        "compiled tier ({}): interpreter {:?} vs VM {:?} ({:.2}x)",
         outcome.tier,
-        outcome.returns,
         interp_time,
         vm_time,
         interp_time.as_secs_f64() / vm_time.as_secs_f64().max(1e-9)

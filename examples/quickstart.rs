@@ -1,15 +1,12 @@
 //! Quickstart: write a pair of Retreet traversals, let the certified
-//! transform layer *synthesize* their fusion, and run the fused schedule on
-//! a real tree.
+//! transform layer *synthesize* their fusion, and run the certified fused
+//! program on a real tree.
 //!
 //! ```bash
 //! cargo run --example quickstart
 //! ```
 
 use retreet_lang::parse_program;
-use retreet_runtime::tree::complete_tree;
-use retreet_runtime::visit::NodeVisitor;
-use retreet_runtime::VerifiedFusion;
 use retreet_transform::fuse_main_passes;
 use retreet_verify::Verifier;
 
@@ -62,26 +59,6 @@ fn main() {
         certified.transformed_source()
     );
     println!("{}", certified.certificate);
-
-    // Exchange the certificate for the runtime capability and run the fused
-    // schedule on a concrete tree.
-    let capability = VerifiedFusion::from_certified(&certified).expect("equivalence certificate");
-    #[derive(Clone, Default)]
-    struct Payload {
-        v: i64,
-        s: i64,
-    }
-    let scale = |p: &mut Payload, _: Option<&Payload>, _: Option<&Payload>| p.v *= 2;
-    let shift = |p: &mut Payload, l: Option<&Payload>, _: Option<&Payload>| {
-        p.s = p.v + l.map_or(0, |l| l.v);
-    };
-    let mut tree = complete_tree(16, &|i| Payload { v: i as i64, s: 0 });
-    let passes: [&dyn NodeVisitor<Payload>; 2] = [&scale, &shift];
-    capability.run_fused(&mut tree, &passes);
-    println!(
-        "root after fused run: v = {}, s = {}",
-        tree.value.v, tree.value.s
-    );
 
     // The compiled execution tier: the certified fused program is lowered
     // to register bytecode (self-recursive passes become worklist loops,

@@ -52,4 +52,5 @@ fn main() {
     }
 
     println!("\nmachine-readable record:\n{}", to_json(&results));
+    assert!(all_match, "a verdict no longer matches the paper");
 }

@@ -48,10 +48,10 @@
 //!   (self-recursion → explicit worklist loops, each gated by a façade
 //!   equivalence verdict) and a stack-free VM, with the reference
 //!   interpreter kept as the differential baseline;
-//! * [`retreet_runtime`] — owned trees, fused and rayon-parallel schedules,
-//!   capability types gated by transform certificates, and
-//!   `exec::ProgramExecutor` — tiered execution preferring compiled
-//!   bytecode with interpreter fallback;
+//! * [`retreet_runtime`] — `exec::ProgramExecutor`, the one executor for
+//!   certified programs: tiered execution preferring compiled bytecode with
+//!   interpreter fallback; the VM-backed autotuner cost model
+//!   (`tune_and_compile`); and the owned trees of the case studies;
 //! * [`retreet_css`] / [`retreet_cycletree`] — the two real-world case-study
 //!   substrates of the evaluation.
 //!
@@ -67,10 +67,10 @@
 //! | `retreet_analysis::equiv::check_equivalence(&a, &b, &EquivOptions { .. })` | `verifier.verify(Query::Equivalence(&a, &b))` |
 //! | `retreet_mso::bounded::check_validity(&f, bound)` | `Verifier::builder().validity_nodes(bound).engines([Engine::BoundedEnumeration]).build().verify(Query::Validity(&f))` |
 //! | `retreet_mso::compile::is_valid(&f)` | `verifier.verify(Query::Validity(&f))` (the automata engine wins where the fragment allows; `Soundness::Unbounded` in the verdict) |
-//! | `VerifiedFusion::verify(&a, &b, &EquivOptions)` *(removed)* | `VerifiedFusion::verify_with(&verifier, &a, &b)`, or synthesize: `retreet_transform::fuse_main_passes(&verifier, &original)` + `VerifiedFusion::from_certified(&t)` |
-//! | `VerifiedParallelization::verify(&p, &RaceOptions)` *(removed)* | `VerifiedParallelization::verify_with(&verifier, &p)`, or synthesize: `retreet_transform::synthesize_parallel_main(&verifier, &sequential)` + `VerifiedParallelization::from_certified(&t)` |
-//! | `VerifiedFusion::run_fused2(&mut tree, &a, &b)` / `run_fused3(…)` *(removed)* | the arity-generic `VerifiedFusion::run_fused(&mut tree, &[&a, &b, …])` |
-//! | `retreet_runtime::visit::fuse2(&a, &b)` / `fuse3(…)` *(removed)* | `retreet_runtime::visit::fuse_all(&[&a, &b, …])` |
+//! | `VerifiedFusion::verify(&a, &b, &EquivOptions)` *(removed)* | `retreet_transform::certify_fusion(&verifier, &a, &b)`, or synthesize: `retreet_transform::fuse_main_passes(&verifier, &original)` |
+//! | `VerifiedParallelization::verify(&p, &RaceOptions)` *(removed)* | `retreet_transform::certify_parallelization(&verifier, &p, &p)`, or synthesize: `retreet_transform::synthesize_parallel_main(&verifier, &sequential)` |
+//! | `VerifiedFusion::run_fused2(&mut tree, &a, &b)` / `run_fused3(…)` *(removed)* | run the certified fused program: `ProgramExecutor::with_verifier(&verifier, &t.transformed).run(&tree)` |
+//! | `retreet_runtime::visit::fuse2(&a, &b)` / `fuse3(…)` *(removed)* | fuse the passes as a program: `retreet_transform::fuse_main_passes(&verifier, &original)`, then run `t.transformed` through `ProgramExecutor` |
 //! | hand-writing a fused program and checking `Query::Equivalence` | `retreet_transform::fuse_main_passes(&verifier, &original)` — the fused program is synthesized and returned with its certificate |
 //! | `fuse_main_passes(&verifier, &p)` as the *only* schedule considered | `retreet_transform::tune(&verifier, &p, &TuneOptions::default(), &mut cost)` — whole-pass fusion is one point in the enumerated partial-fusion × parallelization space; the tuner certifies every candidate in one batch and returns the measured winner (never slower than best-of{original, canonical fusion}) plus the full scored table |
 //! | hand-picking between the fused and the parallel schedule by guesswork | `retreet_runtime::tune_and_compile(&verifier, &p, &options)` — the VM-backed cost model: each certified candidate compiled once through `ProgramExecutor` (interpreter timings refused), probe-run differential-checked, best-of-batches measured; returns the `TunedSchedule` *and* the winner's ready-to-run executor |
@@ -92,7 +92,7 @@
 //! | hand-rolled serving loops around a `Verifier` | `retreet_serve::Service` + `serve_lines` / `serve_tcp` (NDJSON protocol), or the `retreet-serve` binary (`--listen ADDR --warm-start`) |
 //! | `check_data_race` / `check_equivalence` / `check_validity` in a run that must stop on a deadline | the `*_cancellable(…, cancel: &AtomicBool)` variants — return `None` instead of a verdict once the flag is raised |
 //! | `retreet_analysis::interp::run(&p, &tree)` in a hot loop | `retreet_runtime::exec::ProgramExecutor::new(&p)` (or `with_verifier(&verifier, &p)` for certified iterative lowering) + `executor.run(&tree)` — compile once, run on the VM many times, interpreter fallback when the program doesn't compile |
-//! | one-shot compiled execution | `retreet_runtime::run_compiled(&p, &tree)` / `run_compiled_certified(&verifier, &certified_transform, &tree)` |
+//! | one-shot compiled execution | `ProgramExecutor::new(&p).run(&tree)`, or `ProgramExecutor::with_verifier(&verifier, &t.transformed).run(&tree)` for a certified transform |
 //! | trusting a hand-written iterative rewrite of a recursive traversal | `retreet_codegen::compile_with_lowering(&verifier, &p)` — the lowering is synthesized, then certified via `Query::Equivalence` against a reconstruction; refusals carry the counterexample tree and the function stays on frame bytecode |
 //! | `Verdict { outcome, engine, soundness, elapsed, cached, coalesced }` | unchanged; the `degraded: bool` a later revision added is removed again (see the `Verdict::degraded` row) |
 //! | `verifier.verify(q)` with unbounded patience | `Verifier::builder().default_deadline(Duration)…` (or `ServeOptions::deadline_ms` / `--deadline-ms`): the watchdog raises the cooperative cancel flag at expiry and the call resolves *typed* to `VerifyError::DeadlineExceeded`, never a wrong or truncated answer |
@@ -119,7 +119,7 @@
 //! | `VerifierBuilder::check_dependence_order(bool)` | **removed**: the façade always enforces the Theorem 3 dependence-order condition (the default every caller used).  To compare observable behaviour only, call `retreet_analysis::equiv::check_equivalence` with `EquivOptions::builder().check_dependence_order(false)` |
 //! | `VerifierBuilder::enumeration(EnumOptions)` | **removed** (no caller): the race engines use `EnumOptions::default()`.  Custom limits go through `retreet_analysis::race::check_data_race` with `RaceOptions::builder().enumeration(…)` |
 //! | `EngineConfig { …, check_dependence_order, enumeration }` | `EngineConfig { race_nodes, equiv_nodes, validity_nodes, valuations }`.  The config is hashed into every cache key, so a verdict store persisted by an older build misses once per query and is then rewritten; the record format is unchanged |
-//! | `rayon::spawn` (the in-tree shim) | **removed** (its only caller was the parallel portfolio): use `rayon::scope` + `Scope::spawn`, or `rayon::join` |
+//! | `rayon::spawn` (the in-tree shim) | **removed** (its only caller was the parallel portfolio): use `rayon::scope` + `Scope::spawn` |
 //! | `Engine::Trace` / `Soundness::BoundedUpTo` on the equivalence of a sequential program and its race-free parallel schedule (e.g. `ternary_sum_sequential` vs `ternary_sum_parallel`, the tuner's `par-passes` / `par-rec` candidates) | `Engine::Automata` / `Soundness::Unbounded` with `trees_checked() == 0`: a `Par` side that erases exactly and is structurally race-free is proved through its erasure (Theorem 2).  A racy `Par` side, a branch that returns or a local shared between branches still leaves the pair to `Engine::Trace` |
 //! | `verdict.engine == Engine::Automata` on a race witness or an equivalence counterexample | negative race and equivalence verdicts now come from the engine that owns the bounded search: races from `Engine::Configuration` (or `Engine::Trace` when the portfolio omits it), counterexamples from `Engine::Trace`.  The automata engine skips instead of running that search itself, so the witness bytes and `Soundness::Unbounded` are unchanged, and a racy or non-equivalent dispatch counts two engine runs (the automata skip, then the owner's answer) instead of one |
 //! | a serving tier parsing every `race` / `equivalence` request before its cache lookup | `verifier.cached(SourceQuery::DataRace(&text))` / `SourceQuery::Equivalence(&original, &transformed)` first: text byte-identical to a cached entry's printed programs is answered without parsing, validating or printing; a miss answers `None` and counts nothing, so parse and `verify` as before (that lookup counts the hit or miss).  `retreet-serve` does this for every such request |
@@ -128,6 +128,17 @@
 //! | `print_program` output for a program the printer could not spell back (a brace group inside a statement list, a straight-line block split off by braces, `par { … }` with fewer than two branches, a `Loc` parameter not named `n`) | printed so that it parses back to the same program: braces where the parser's block structure needs them, `par {` for fewer than two branches, the function's own `Loc` name.  Normalized programs, the corpus, its fusions and every tune candidate print byte-identically |
 //! | the bounded race and equivalence searches fanning their tree and pair loops out over rayon workers | they run in index order on the calling thread and stop at the first witness, which is the lowest-index one by construction: the witness the single-worker path always returned, now on every host.  `retreet-analysis` no longer depends on `rayon`; to use more cores, send independent queries through `verify_batch` or the serve cold-lane workers |
 //! | `RaceVerdict::RaceFree { configurations }` from a bounded race run | may be higher than before, and now always equals `retreet_analysis::naive::check_data_race`'s tally: grounding a path summary substituted one symbol at a time, so a run's shared symbol table could turn a grounded symbol into a local one and prune a feasible configuration (`kdtree_closest` at 3 nodes and 2 valuations: 4,600 → 4,604) |
+//! | `retreet_runtime::VerifiedFusion` / `VerifiedParallelization` (`verify_with`, `from_certified`, `run_fused`, `run_parallel`, `certificate`, `trees_checked`, `configurations`, `engine`) | **removed**: they ran Rust closures the certificate said nothing about.  Certify with `retreet_transform::certify_fusion` / `certify_parallelization` (or synthesize), read the provenance from `t.certificate` (`engine()`, `trees_checked()`, the configuration count in `verdict.outcome`), and run `t.transformed` through `ProgramExecutor` |
+//! | `retreet_runtime::TransformError` | `retreet_transform::TransformError` (the same type; the runtime's re-export is gone) |
+//! | `retreet_runtime::visit::{postorder_mut, preorder_mut, run_passes, fuse_all, NodeVisitor}` | **removed**: write the traversal as a Retreet program and run it through `ProgramExecutor`; a Rust pass over a concrete tree is a plain recursive function (as `retreet_css::minify` walks its style-sheet tree) |
+//! | `retreet_runtime::visit::{par_postorder_mut, par_preorder_mut, par_fold, seq_fold}` | **removed**: every parallel schedule recomputed `len()`, a full subtree walk, at each node above its cutoff and ran slower than its sequential counterpart.  Certify a parallel program with `synthesize_parallel_main` / `parallelize_recursive_calls` and run it through `ProgramExecutor`, whose VM runs `Par` branches in sequence |
+//! | `retreet_runtime::run_compiled(&p, &tree)` / `run_compiled_certified(&verifier, &t, &tree)` | **removed**: `ProgramExecutor::new(&p).run(&tree)` / `ProgramExecutor::with_verifier(&verifier, &t.transformed).run(&tree)` |
+//! | `retreet_codegen::compile_certified(&verifier, &t)` | **removed**: `retreet_codegen::compile_with_lowering(&verifier, &t.transformed)`.  `retreet-codegen` no longer depends on `retreet-transform` |
+//! | `retreet_codegen::run_program(&compiled, &tree)` | **removed**: `Vm::new().run(&compiled, &tree)` |
+//! | `rayon::join` (the in-tree shim) | **removed** (its only caller was `retreet_runtime::visit`): use `rayon::scope` + `Scope::spawn` |
+//! | `ProgramExecutor::vm_runs()` / `interp_runs()` | **removed**: every `ExecOutcome` and `CompleteRun` says which tier ran it in `tier`; count those.  The executor now runs on the calling thread's pooled `Vm` instead of one `Vm` behind a mutex, so threads sharing an executor no longer wait for each other |
+//! | `TreeNode::new(v, l, r)` / `is_leaf()` / `map(f)` / `postorder()` / `render()` | **removed** (no caller): build with `TreeNode::leaf(v)` and set `left` / `right`; test `left.is_none() && right.is_none()`; `preorder()`, `len()` and `height()` remain |
+//! | `retreet_css::minify::{convert_values_visitor, minify_font_visitor, reduce_init_visitor}` | **removed**: the per-declaration passes `convert_values_decl` / `minify_font_decl` / `reduce_init_decl` remain, and `minify_unfused` / `minify_fused` run them as separate or fused traversals |
 //!
 //! # Benchmarks
 //!

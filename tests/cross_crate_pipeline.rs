@@ -8,7 +8,7 @@ use retreet_cycletree::numbering::{
 };
 use retreet_cycletree::routing::{compute_routing, route_path};
 use retreet_lang::{corpus, parse_program, pretty, validate, BlockTable};
-use retreet_runtime::{VerifiedFusion, VerifiedParallelization};
+use retreet_transform::{certify_fusion, certify_parallelization};
 use retreet_verify::Verifier;
 
 #[test]
@@ -34,7 +34,7 @@ fn css_pipeline_from_source_text_to_minified_output() {
     assert!(reference.serialized_len() <= sheet.serialized_len());
     // And the corresponding Retreet-level fusion is certified.
     let verifier = Verifier::builder().equiv_nodes(4).valuations(1).build();
-    assert!(VerifiedFusion::verify_with(
+    assert!(certify_fusion(
         &verifier,
         &corpus::css_minify_original(),
         &corpus::css_minify_fused(),
@@ -64,12 +64,10 @@ fn cycletree_pipeline_constructs_and_routes() {
 #[test]
 fn parallelization_capability_is_refused_for_the_racy_cycletree_main() {
     let verifier = Verifier::builder().race_nodes(3).valuations(1).build();
-    assert!(
-        VerifiedParallelization::verify_with(&verifier, &corpus::cycletree_parallel()).is_err()
-    );
-    assert!(
-        VerifiedParallelization::verify_with(&verifier, &corpus::size_counting_parallel()).is_ok()
-    );
+    let racy = corpus::cycletree_parallel();
+    assert!(certify_parallelization(&verifier, &racy, &racy).is_err());
+    let race_free = corpus::size_counting_parallel();
+    assert!(certify_parallelization(&verifier, &race_free, &race_free).is_ok());
 }
 
 #[test]

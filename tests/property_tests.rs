@@ -10,8 +10,6 @@ use retreet_cycletree::numbering::{fused_number_and_route, number_cycletree, ran
 use retreet_cycletree::routing::{compute_routing, route_path};
 use retreet_lang::corpus;
 use retreet_logic::{Atom, LinExpr, Solver, Sym, System};
-use retreet_runtime::tree::random_tree;
-use retreet_runtime::visit::{par_fold, seq_fold};
 
 proptest! {
     /// Linear-expression substitution agrees with evaluation: evaluating
@@ -55,16 +53,6 @@ proptest! {
         if let Some(model) = outcome.model() {
             prop_assert!(model.satisfies(&system));
         }
-    }
-
-    /// Parallel and sequential folds agree on arbitrary tree shapes.
-    #[test]
-    fn par_fold_equals_seq_fold(nodes in 1usize..400, seed in any::<u64>(), threshold in 1usize..64) {
-        let tree = random_tree(nodes, seed, &|i| i as u64);
-        let combine = |v: &u64, l: u64, r: u64| v.wrapping_add(l).wrapping_add(r);
-        let seq = seq_fold(&tree, &|| 0u64, &combine);
-        let par = par_fold(&tree, threshold, &|| 0u64, &combine);
-        prop_assert_eq!(seq, par);
     }
 
     /// The cyclic numbering is always a permutation, and the fused traversal
