@@ -17,7 +17,7 @@
 //! * `--batches N` / `--per-batch N` — timing loop shape (overrides the
 //!   budget's defaults, best-of-batches).
 //!
-//! The process fails on four regressions, none of which is a performance
+//! The process fails on five regressions, none of which is a performance
 //! number:
 //!
 //! * **drift** — the winning schedule's VM run diverges from the original
@@ -27,7 +27,10 @@
 //! * **missing certificate** — a winner whose verdict lacks engine or
 //!   soundness provenance;
 //! * **weak certificate** — a certified candidate whose equivalence or
-//!   race-freedom certificate is weaker than `unbounded`.
+//!   race-freedom certificate is weaker than `unbounded`;
+//! * **equivalence asked of a racy candidate** — a candidate refused for a
+//!   data race whose equivalence verdict is in the verifier's cache: the
+//!   tuner certifies race freedom first and never asks that question.
 
 use retreet_bench::{measure_tune, render_tune_report, tune_report_to_json, Budget};
 use retreet_transform::TuneOptions;
@@ -156,6 +159,14 @@ fn main() {
         for candidate in row.table.iter().filter(|c| c.has_bounded_certificate()) {
             eprintln!(
                 "bench_tune: {} candidate {} is certified only up to a node bound",
+                row.id, candidate.label
+            );
+            failed = true;
+        }
+        for candidate in row.table.iter().filter(|c| c.racy_equivalence_asked) {
+            eprintln!(
+                "bench_tune: {} candidate {} was refused for a data race, yet its \
+                 equivalence was asked",
                 row.id, candidate.label
             );
             failed = true;

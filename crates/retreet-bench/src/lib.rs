@@ -136,10 +136,11 @@ impl Budget {
 
     /// The façade verifier the schedule autotuner uses: both query kinds
     /// under this budget with the verdict cache **enabled** — the tuner
-    /// certifies dozens of candidates through one `verify_batch` call and
-    /// recompiles the winner, so shared cache/coalescing state is part of
-    /// what the tune bench exercises (unlike the engine benches, which
-    /// disable the cache to time raw engine work).
+    /// certifies dozens of candidates through two `verify_batch` calls, so
+    /// shared cache/coalescing state is part of what the tune bench
+    /// exercises, and the bench's race-first gate reads the cache (unlike
+    /// the engine benches, which disable the cache to time raw engine
+    /// work).
     pub fn tune_verifier(&self) -> Verifier {
         Verifier::builder()
             .equiv_nodes(self.equiv_nodes)
@@ -1081,6 +1082,11 @@ pub struct TuneCandidateSummary {
     /// Engine and soundness of the race-freedom certificate (certified
     /// parallel candidates only).
     pub race: Option<(Engine, Soundness)>,
+    /// True when the candidate was refused for a data race yet the
+    /// verifier holds a verdict for its equivalence query: the tuner
+    /// certifies races first and never asks a racy candidate's equivalence,
+    /// so this fails `bench_tune`.
+    pub racy_equivalence_asked: bool,
 }
 
 impl TuneCandidateSummary {
@@ -1168,9 +1174,11 @@ pub fn measure_tune(
 ) -> Vec<TuneReportRow> {
     use retreet_analysis::vtree::ValueTree;
     use retreet_codegen::{program_fields, trees_agree};
+    use retreet_lang::pretty::print_program;
     use retreet_runtime::exec::ProgramExecutor;
     use retreet_runtime::tune_and_compile;
-    use retreet_transform::CandidateStatus;
+    use retreet_transform::{CandidateStatus, TransformError};
+    use retreet_verify::SourceQuery;
 
     let cases: [(&'static str, &'static str, retreet_lang::ast::Program); 5] = [
         ("E1", "size_counting", corpus::size_counting_sequential()),
@@ -1206,6 +1214,7 @@ pub fn measure_tune(
                 _ => true,
             };
 
+            let original_text = print_program(&original);
             let table: Vec<TuneCandidateSummary> = schedule
                 .candidates
                 .iter()
@@ -1221,6 +1230,7 @@ pub fn measure_tune(
                         detail: cost.as_ref().err().cloned().unwrap_or_default(),
                         equivalence: Some((equivalence.engine, equivalence.soundness)),
                         race: race.as_ref().map(|race| (race.engine, race.soundness)),
+                        racy_equivalence_asked: false,
                     },
                     CandidateStatus::Refused(reason) => TuneCandidateSummary {
                         label: candidate.label.clone(),
@@ -1229,6 +1239,13 @@ pub fn measure_tune(
                         detail: reason.to_string(),
                         equivalence: None,
                         race: None,
+                        racy_equivalence_asked: matches!(reason, TransformError::DataRace(_))
+                            && verifier
+                                .cached(SourceQuery::Equivalence(
+                                    &original_text,
+                                    &candidate.source(),
+                                ))
+                                .is_some(),
                     },
                 })
                 .collect();
@@ -1346,10 +1363,15 @@ pub fn tune_report_to_json(
     let mut out = String::from("{\n  \"schema\": \"retreet-bench-tune/v2\",\n");
     out.push_str(
         "  \"methodology\": \"retreet-transform::tune over each family's Main pass run: \
-         contiguous partial-fusion groupings x schedule variants, certified in one \
-         verify_batch call, measured best-of-batches through the retreet-codegen VM tier \
-         (never the interpreter), winner never slower than best-of{original, canonical \
-         fusion}; winner differential-rechecked against the interpreter reference\",\n",
+         contiguous partial-fusion groupings x schedule variants, certified race-first in \
+         two verify_batch calls (race queries of parallel candidates with equivalence \
+         queries of sequential ones, then equivalence queries of the race-free parallel \
+         candidates; a racy candidate's equivalence is never asked); seconds time only the \
+         retreet-codegen VM (never the interpreter): best-of-batches of single runs on \
+         fresh clones of the candidate's flat measurement tree, with flattening, \
+         write-back and the clone outside the timer; winner never slower than \
+         best-of{original, canonical fusion}; winner differential-rechecked against the \
+         interpreter reference\",\n",
     );
     out.push_str(&format!(
         "  \"budget\": {{ \"label\": \"{}\", \"equiv_nodes\": {}, \"equiv_valuations\": {}, \
@@ -1914,6 +1936,16 @@ mod tests {
                     candidate.label,
                     candidate.equivalence,
                     candidate.race
+                );
+            }
+        }
+        // No race-refused candidate had its equivalence asked.
+        for row in &rows {
+            for candidate in &row.table {
+                assert!(
+                    !candidate.racy_equivalence_asked,
+                    "{}: {}",
+                    row.id, candidate.label
                 );
             }
         }

@@ -177,6 +177,25 @@ impl ProgramExecutor {
         }
     }
 
+    /// The VM tier's flat view of `tree`, as [`Self::run`] builds it before
+    /// each run; `None` on the interpreter tier.
+    pub(crate) fn flat_view(&self, tree: &ValueTree) -> Option<FlatTree> {
+        let compiled = self.compiled.as_ref()?;
+        Some(FlatTree::from_value_tree_kary(
+            tree,
+            &compiled.fields,
+            compiled.arity,
+        ))
+    }
+
+    /// One VM run on a flat view from [`Self::flat_view`], in place: no
+    /// flattening and no write-back, so a timer around it times only the
+    /// program.  Panics on the interpreter tier, which has no flat view.
+    pub(crate) fn run_flat(&self, tree: &mut FlatTree) -> Result<Vec<i64>, ExecError> {
+        let compiled = self.compiled.as_ref().expect("flat runs need the VM tier");
+        run_vm(compiled, tree)
+    }
+
     /// Runs the program on the seeded complete tree
     /// `ValueTree::complete_kary(arity, height, ..)` filled by
     /// `fill_fields(.., seed)` over the program's fields, and answers only

@@ -11,36 +11,43 @@
 //! * a candidate that would fall back to the interpreter tier is *not
 //!   measured* — interpreter timings would poison the comparison, so the
 //!   cost model reports the tier refusal and the candidate cannot win;
-//! * before any timing, the candidate runs once against the original
-//!   program's interpreter reference on the measurement tree — returns and
-//!   post-run trees must agree (a drift here would mean a certified
-//!   candidate disagrees with its certificate, and aborts the measurement
-//!   rather than timing a wrong program);
-//! * the cost is the best of `batches` batches of `per_batch` VM runs on
-//!   the seeded measurement tree, per [`TuneOptions`].
+//! * before any timing, one drift probe runs the candidate through
+//!   [`ProgramExecutor::run`] on the measurement tree and checks it against
+//!   the original program's interpreter reference — returns and post-run
+//!   trees must agree (a drift here would mean a certified candidate
+//!   disagrees with its certificate, and aborts the measurement rather than
+//!   timing a wrong program);
+//! * the cost times the program alone: the candidate's flat view of the
+//!   measurement tree is built once, each sample is one VM run on a fresh
+//!   clone of it (cloned outside the timer), and the cost is the best of
+//!   `batches` batches of `per_batch` samples, per [`TuneOptions`].
+//!   Flattening and writing the tree back, which every
+//!   [`ProgramExecutor::run`] does, would otherwise dominate the timing of
+//!   a small tree.
 //!
 //! The winner comes back compiled: [`TunedProgram`] pairs the
-//! [`TunedSchedule`] with a ready [`ProgramExecutor`] for the winning
-//! program.
+//! [`TunedSchedule`] with the [`ProgramExecutor`] the cost model built and
+//! measured for the winning program (the original's own, when no candidate
+//! beat it), so no program is compiled twice.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use retreet_analysis::vtree::ValueTree;
-use retreet_codegen::{program_fields, trees_agree};
+use retreet_codegen::{program_fields, trees_agree, FlatTree};
 use retreet_lang::ast::Program;
 use retreet_transform::tune::{tune, TuneOptions, TunedSchedule};
 use retreet_transform::TransformError;
 use retreet_verify::Verifier;
 
-use crate::exec::{ExecTier, ProgramExecutor};
+use crate::exec::ProgramExecutor;
 
 /// A tuned schedule together with the compiled executor for its winner.
 #[derive(Debug)]
 pub struct TunedProgram {
     /// The search result: winner, baselines, full candidate table.
     pub schedule: TunedSchedule,
-    /// An executor for the winning program, compiled with certified
-    /// lowering — ready to run.
+    /// The executor the cost model compiled (with certified lowering) and
+    /// measured for the winning program — ready to run.
     pub executor: ProgramExecutor,
 }
 
@@ -58,32 +65,33 @@ fn measurement_tree(program: &Program, options: &TuneOptions) -> ValueTree {
     tree
 }
 
-/// Times `executor` on `tree`: best of `batches` batches of `per_batch`
-/// runs, in seconds per run.
+/// Times `executor` on its flat view `tree`: best of `batches` batches of
+/// `per_batch` VM runs, in seconds per run.  Each run gets a fresh clone of
+/// `tree`, made and dropped outside the timer.
 fn best_of_vm(
     executor: &ProgramExecutor,
-    tree: &ValueTree,
+    tree: &FlatTree,
     batches: usize,
     per_batch: usize,
 ) -> Result<f64, String> {
-    let batches = batches.max(1);
     let per_batch = per_batch.max(1);
     let mut best = f64::INFINITY;
-    for _ in 0..batches {
-        let start = Instant::now();
+    for _ in 0..batches.max(1) {
+        let mut elapsed = Duration::ZERO;
         for _ in 0..per_batch {
-            executor.run(tree).map_err(|err| err.to_string())?;
+            let mut sample = tree.clone();
+            let start = Instant::now();
+            let run = std::hint::black_box(executor.run_flat(&mut sample));
+            elapsed += start.elapsed();
+            run.map_err(|err| err.to_string())?;
         }
-        let per_run = start.elapsed().as_secs_f64() / per_batch as f64;
-        if per_run < best {
-            best = per_run;
-        }
+        best = best.min(elapsed.as_secs_f64() / per_batch as f64);
     }
     Ok(best)
 }
 
 /// Runs the schedule autotuner for `program` with the VM-backed cost model
-/// and compiles the winner.
+/// and returns the winner's executor with the schedule.
 ///
 /// See the [module docs](self) for the cost model's tier and drift gates,
 /// and [`mod@retreet_transform::tune`] for the search space and the
@@ -109,13 +117,15 @@ pub fn tune_and_compile(
             ))
         })?;
 
+    // Every executor the cost model measured; the winner's is among them.
+    let mut measured: Vec<ProgramExecutor> = Vec::new();
     let mut cost = |candidate: &Program| -> Result<f64, String> {
         let executor = ProgramExecutor::with_verifier(verifier, candidate);
-        if executor.tier() != ExecTier::Vm {
+        let Some(flat) = executor.flat_view(&tree) else {
             return Err(String::from(
                 "candidate does not compile to the VM tier; refusing to time the interpreter",
             ));
-        }
+        };
         let probe = executor.run(&tree).map_err(|err| err.to_string())?;
         if probe.returns != reference.returns {
             return Err(format!(
@@ -128,17 +138,23 @@ pub fn tune_and_compile(
                 "drift: candidate's post-run tree disagrees with the original",
             ));
         }
-        best_of_vm(&executor, &tree, options.batches, options.per_batch)
+        let seconds = best_of_vm(&executor, &flat, options.batches, options.per_batch)?;
+        measured.push(executor);
+        Ok(seconds)
     };
 
     let schedule = tune(verifier, program, options, &mut cost)?;
-    let executor = ProgramExecutor::with_verifier(verifier, &schedule.winner.transformed);
+    let executor = measured
+        .into_iter()
+        .find(|executor| executor.program() == &schedule.winner.transformed)
+        .expect("the winner was measured");
     Ok(TunedProgram { schedule, executor })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ExecTier;
     use retreet_lang::corpus;
     use retreet_transform::CandidateStatus;
 
@@ -158,6 +174,7 @@ mod tests {
             .expect("E1 tunes end to end");
         // The winner compiled, is certified, and respects the baseline bound.
         assert_eq!(tuned.executor.tier(), ExecTier::Vm);
+        assert_eq!(tuned.executor.program(), &tuned.schedule.winner.transformed);
         assert!(tuned.schedule.winner_seconds <= tuned.schedule.baseline_original_seconds);
         assert!(tuned.schedule.speedup() >= 1.0);
         assert!(tuned.schedule.certified_count() >= 1);
@@ -179,6 +196,35 @@ mod tests {
             .expect("reference runs");
         assert_eq!(fast.returns, slow.returns);
         assert!(trees_agree(&fast.tree, &slow.tree));
+    }
+
+    #[test]
+    fn the_timed_flat_run_returns_what_run_returns_on_the_measurement_tree() {
+        let verifier = verifier();
+        let options = TuneOptions::quick();
+        for program in [
+            corpus::size_counting_sequential(),
+            corpus::tree_mutation_original(),
+            corpus::css_minify_original(),
+            corpus::cycletree_original(),
+            corpus::kdtree_closest(),
+            corpus::ternary_sum_parallel(),
+        ] {
+            let tree = measurement_tree(&program, &options);
+            let executor = ProgramExecutor::with_verifier(&verifier, &program);
+            let flat = executor.flat_view(&tree).expect("the corpus compiles");
+            let expected = executor.run(&tree).expect("run");
+            // Every sample runs on a fresh clone, so each sees the same tree.
+            for _ in 0..2 {
+                let returns = executor.run_flat(&mut flat.clone()).expect("flat run");
+                assert_eq!(
+                    returns,
+                    expected.returns,
+                    "{}",
+                    executor.program().funcs[0].name
+                );
+            }
+        }
     }
 
     #[test]

@@ -683,7 +683,9 @@ impl Service {
                 ));
                 out
             }
-            Err(err) => error_response(id, "internal", &format!("execution failed: {err}")),
+            // A nil dereference or depth overflow is the client program's
+            // fault, raised identically by the reference interpreter.
+            Err(err) => error_response(id, "program_fault", &format!("execution failed: {err}")),
         }
     }
 
@@ -1102,7 +1104,9 @@ fn push_id(out: &mut String, id: Option<&Value>) {
 
 /// One error line.  `code` is a stable machine-readable discriminator:
 /// `bad_request`, `request_too_large`, `overloaded`, `shutting_down`,
-/// `deadline_exceeded`, `unsupported` or `internal`.
+/// `deadline_exceeded`, `unsupported`, `untunable`, `program_fault` (a
+/// `run` whose program faulted: a nil dereference or a depth overflow) or
+/// `internal` (a fault of the service itself).
 fn error_response(id: Option<&Value>, code: &str, message: &str) -> String {
     let mut out = String::from("{");
     push_id(&mut out, id);
@@ -1670,6 +1674,22 @@ mod tests {
         assert_eq!(codegen["compiles"], Value::Number(1.0));
         assert_eq!(codegen["vm_runs"], Value::Number(2.0));
         assert_eq!(codegen["interp_runs"], Value::Number(0.0));
+    }
+
+    #[test]
+    fn a_faulting_program_answers_program_fault_and_the_service_stays_up() {
+        let service = quick_service();
+        // `n.l` is nil on a height-1 tree: the client's program faults, not
+        // the service, and the code says so.
+        let response = service.handle_line(
+            r#"{"kind":"run","program":"fn Main(n) { n.l.v = 1; return 0; }","height":1}"#,
+        );
+        assert_eq!(
+            response,
+            r#"{"status":"error","code":"program_fault","error":"execution failed: vm: field access on nil node"}"#
+        );
+        let stats = service.handle_line(r#"{"kind": "stats"}"#);
+        assert_eq!(field(&stats, "status").as_str(), Some("ok"));
     }
 
     #[test]

@@ -227,22 +227,16 @@ pub fn certify_fusion(
     original: &Program,
     fused: &Program,
 ) -> Result<CertifiedTransform, TransformError> {
-    let verdict = verifier.verify(Query::Equivalence(original, fused))?;
-    match verdict.outcome {
-        Outcome::Equivalent { .. } => Ok(CertifiedTransform {
-            original: original.clone(),
-            transformed: fused.clone(),
-            synthesized: Vec::new(),
-            certificate: Certificate {
-                kind: CertificateKind::Equivalence,
-                verdict,
-            },
-        }),
-        Outcome::NotEquivalent(ce) => Err(TransformError::NotEquivalent(ce)),
-        ref other => unsupported(format!(
-            "equivalence query produced unexpected outcome {other:?}"
-        )),
-    }
+    let verdict = equivalence_certificate(verifier.verify(Query::Equivalence(original, fused)))?;
+    Ok(CertifiedTransform {
+        original: original.clone(),
+        transformed: fused.clone(),
+        synthesized: Vec::new(),
+        certificate: Certificate {
+            kind: CertificateKind::Equivalence,
+            verdict,
+        },
+    })
 }
 
 /// Certifies that `parallel` (a program containing parallel composition) is
@@ -254,17 +248,39 @@ pub fn certify_parallelization(
     original: &Program,
     parallel: &Program,
 ) -> Result<CertifiedTransform, TransformError> {
-    let verdict = verifier.verify(Query::DataRace(parallel))?;
+    let verdict = race_certificate(verifier.verify(Query::DataRace(parallel)))?;
+    Ok(CertifiedTransform {
+        original: original.clone(),
+        transformed: parallel.clone(),
+        synthesized: Vec::new(),
+        certificate: Certificate {
+            kind: CertificateKind::RaceFreedom,
+            verdict,
+        },
+    })
+}
+
+/// A positive equivalence verdict, or the refusal it amounts to.
+pub(crate) fn equivalence_certificate(
+    verdict: Result<Verdict, VerifyError>,
+) -> Result<Verdict, TransformError> {
+    let verdict = verdict?;
     match verdict.outcome {
-        Outcome::RaceFree { .. } => Ok(CertifiedTransform {
-            original: original.clone(),
-            transformed: parallel.clone(),
-            synthesized: Vec::new(),
-            certificate: Certificate {
-                kind: CertificateKind::RaceFreedom,
-                verdict,
-            },
-        }),
+        Outcome::Equivalent { .. } => Ok(verdict),
+        Outcome::NotEquivalent(ce) => Err(TransformError::NotEquivalent(ce)),
+        ref other => unsupported(format!(
+            "equivalence query produced unexpected outcome {other:?}"
+        )),
+    }
+}
+
+/// A race-freedom verdict, or the refusal it amounts to.
+pub(crate) fn race_certificate(
+    verdict: Result<Verdict, VerifyError>,
+) -> Result<Verdict, TransformError> {
+    let verdict = verdict?;
+    match verdict.outcome {
+        Outcome::RaceFree { .. } => Ok(verdict),
         Outcome::Race(witness) => Err(TransformError::DataRace(witness)),
         ref other => unsupported(format!("race query produced unexpected outcome {other:?}")),
     }

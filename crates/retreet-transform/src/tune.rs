@@ -32,11 +32,22 @@
 //!
 //! # Certification
 //!
-//! Every constructible candidate goes to the verifier in **one
-//! [`Verifier::verify_batch`] call** — an equivalence query against the
-//! original for each candidate, plus a data-race query for each candidate
-//! containing parallel composition — so the whole search shares the façade's
-//! verdict cache, single-flight coalescing and incremental solver state.  A
+//! Every constructible candidate goes to the verifier in **two
+//! [`Verifier::verify_batch`] calls**, race freedom first, as the paper
+//! orders the questions (Theorem 2 before Theorem 3):
+//!
+//! 1. the first batch asks each parallel candidate's data-race query and
+//!    each sequential candidate's equivalence query against the original;
+//! 2. the second batch asks the equivalence queries of the parallel
+//!    candidates the first batch proved `RaceFree` — cheap, since the
+//!    automata engine proves a race-free `Par` equivalent through its
+//!    sequential erasure.
+//!
+//! A racy candidate is refused with its race witness and its equivalence is
+//! never asked: for a racy `Par` that question falls to the trace engine's
+//! bounded search, the most expensive query of the whole table, and its
+//! answer could not certify the candidate anyway.  Both batches share the
+//! façade's verdict cache, single-flight coalescing and worker fan-out.  A
 //! candidate is certified only when its equivalence verdict is positive
 //! *and* (when parallel) its race verdict is `RaceFree`.  Refused candidates
 //! are kept in the candidate table with their typed refusal — the
@@ -49,7 +60,7 @@
 //! baseline).  The canonical cost model is `retreet_runtime`'s
 //! `tune_and_compile`, which compiles each candidate once through the
 //! `retreet-codegen` VM tier (with certified iterative lowering) and times
-//! best-of-N runs on a seeded tree — never the interpreter.  This crate
+//! best-of-N VM runs on a seeded tree — never the interpreter.  This crate
 //! never runs a program: execution lives above it, in `retreet-runtime`,
 //! and the tests here measure with synthetic costs.
 //!
@@ -67,12 +78,13 @@ use retreet_lang::ast::{Block, CallBlock, Func, Program, Stmt, MAIN};
 use retreet_lang::pretty::print_program;
 use retreet_lang::rewrite;
 use retreet_lang::validate::{program_has_parallelism, validate};
-use retreet_verify::{Outcome, Query, Verdict, Verifier};
+use retreet_verify::{Query, Verdict, Verifier};
 
 use crate::fusion::{find_fusable_run, FusionBuilder};
 use crate::schedule::parallelize_stmt;
 use crate::{
-    finalize_program, unsupported, Certificate, CertificateKind, CertifiedTransform, TransformError,
+    certify_fusion, equivalence_certificate, finalize_program, race_certificate, unsupported,
+    Certificate, CertificateKind, CertifiedTransform, TransformError,
 };
 
 /// Widest pass run the tuner will enumerate groupings for (`2^(k-1)`
@@ -518,9 +530,69 @@ fn enumerate_candidates(
     Ok(out)
 }
 
+/// A candidate's certificates — its equivalence verdict against the
+/// original and, when parallel, its race-freedom verdict — or its refusal.
+type Certification = Result<(Verdict, Option<Verdict>), TransformError>;
+
+/// Certifies `candidates` against `original` in two batches, race queries
+/// first (see the [module docs](self)); answers in input order.
+fn certify(verifier: &Verifier, original: &Program, candidates: &[&Program]) -> Vec<Certification> {
+    let parallel: Vec<bool> = candidates
+        .iter()
+        .map(|candidate| program_has_parallelism(candidate))
+        .collect();
+    let first: Vec<Query<'_>> = candidates
+        .iter()
+        .zip(&parallel)
+        .map(|(candidate, &parallel)| {
+            if parallel {
+                Query::DataRace(candidate)
+            } else {
+                Query::Equivalence(original, candidate)
+            }
+        })
+        .collect();
+
+    // `None` marks a race-free parallel candidate whose equivalence the
+    // second batch asks; `races` keeps its race-freedom verdict meanwhile.
+    let mut certifications: Vec<Option<Certification>> = Vec::with_capacity(candidates.len());
+    let mut races: Vec<(usize, Verdict)> = Vec::new();
+    for (index, verdict) in verifier.verify_batch(&first).into_iter().enumerate() {
+        if !parallel[index] {
+            certifications.push(Some(
+                equivalence_certificate(verdict).map(|equivalence| (equivalence, None)),
+            ));
+            continue;
+        }
+        match race_certificate(verdict) {
+            Ok(race) => {
+                races.push((index, race));
+                certifications.push(None);
+            }
+            Err(refusal) => certifications.push(Some(Err(refusal))),
+        }
+    }
+
+    let second: Vec<Query<'_>> = races
+        .iter()
+        .map(|&(index, _)| Query::Equivalence(original, candidates[index]))
+        .collect();
+    for ((index, race), verdict) in races.into_iter().zip(verifier.verify_batch(&second)) {
+        certifications[index] =
+            Some(equivalence_certificate(verdict).map(|equivalence| (equivalence, Some(race))));
+    }
+    certifications
+        .into_iter()
+        .map(|certification| {
+            certification.expect("the second batch answers every race-free candidate")
+        })
+        .collect()
+}
+
 /// Runs the schedule search for `program` and returns the winning certified
-/// schedule (see the [module docs](self) for the search space, the batch
-/// certification flow and the never-slower-than-baseline guarantee).
+/// schedule (see the [module docs](self) for the search space, the
+/// race-first certification flow and the never-slower-than-baseline
+/// guarantee).
 ///
 /// `cost` measures one program and returns its cost in seconds — smaller is
 /// better — or an error when the program cannot be measured on the required
@@ -543,84 +615,29 @@ pub fn tune(
         return unsupported(format!("input program fails validation: {first}"));
     }
     let enumerated = enumerate_candidates(program, options)?;
-
-    // One batch for the whole space: an equivalence query per constructible
-    // candidate, plus a race query per parallel candidate.
-    enum Role {
-        Equivalence,
-        Race,
-    }
-    let mut queries: Vec<Query<'_>> = Vec::new();
-    let mut slots: Vec<(usize, Role)> = Vec::new();
-    for (index, entry) in enumerated.iter().enumerate() {
-        if let Ok(construction) = entry {
-            queries.push(Query::Equivalence(program, &construction.program));
-            slots.push((index, Role::Equivalence));
-            if program_has_parallelism(&construction.program) {
-                queries.push(Query::DataRace(&construction.program));
-                slots.push((index, Role::Race));
-            }
-        }
-    }
-    let verdicts = verifier.verify_batch(&queries);
-
-    let mut equivalence: Vec<Option<Result<Verdict, TransformError>>> = Vec::new();
-    equivalence.resize_with(enumerated.len(), || None);
-    let mut race: Vec<Option<Result<Verdict, TransformError>>> = Vec::new();
-    race.resize_with(enumerated.len(), || None);
-    for ((index, role), verdict) in slots.into_iter().zip(verdicts) {
-        let resolved = match verdict {
-            Ok(verdict) => match (&role, &verdict.outcome) {
-                (Role::Equivalence, Outcome::Equivalent { .. }) => Ok(verdict),
-                (Role::Equivalence, Outcome::NotEquivalent(_)) => {
-                    let Outcome::NotEquivalent(ce) = verdict.outcome else {
-                        unreachable!()
-                    };
-                    Err(TransformError::NotEquivalent(ce))
-                }
-                (Role::Race, Outcome::RaceFree { .. }) => Ok(verdict),
-                (Role::Race, Outcome::Race(_)) => {
-                    let Outcome::Race(witness) = verdict.outcome else {
-                        unreachable!()
-                    };
-                    Err(TransformError::DataRace(witness))
-                }
-                (_, other) => Err(TransformError::UnsupportedShape(format!(
-                    "certification query produced unexpected outcome {other:?}"
-                ))),
-            },
-            Err(err) => Err(TransformError::Rejected(err)),
-        };
-        match role {
-            Role::Equivalence => equivalence[index] = Some(resolved),
-            Role::Race => race[index] = Some(resolved),
-        }
-    }
+    let constructed: Vec<&Program> = enumerated
+        .iter()
+        .filter_map(|entry| entry.as_ref().ok().map(|c| &c.program))
+        .collect();
+    let mut certifications = certify(verifier, program, &constructed).into_iter();
 
     // Fold verdicts into the candidate table, measuring the certified ones.
     let mut candidates: Vec<TuneCandidate> = Vec::new();
-    for (index, entry) in enumerated.into_iter().enumerate() {
+    for entry in enumerated {
         match entry {
             Err(refused) => candidates.push(refused),
             Ok(construction) => {
                 let label = grouping_label(&construction.grouping, construction.schedule);
-                let equivalence_result = equivalence[index]
-                    .take()
-                    .expect("every construction was queried");
-                let race_result = race[index].take();
-                let status = match (equivalence_result, race_result) {
-                    (Ok(equiv), None) => CandidateStatus::Certified {
-                        equivalence: equiv,
-                        race: None,
+                let status = match certifications
+                    .next()
+                    .expect("every construction was certified")
+                {
+                    Ok((equivalence, race)) => CandidateStatus::Certified {
+                        equivalence,
+                        race,
                         cost: cost(&construction.program),
                     },
-                    (Ok(equiv), Some(Ok(race_verdict))) => CandidateStatus::Certified {
-                        equivalence: equiv,
-                        race: Some(race_verdict),
-                        cost: cost(&construction.program),
-                    },
-                    (Ok(_), Some(Err(refusal))) => CandidateStatus::Refused(refusal),
-                    (Err(refusal), _) => CandidateStatus::Refused(refusal),
+                    Err(refusal) => CandidateStatus::Refused(refusal),
                 };
                 candidates.push(TuneCandidate {
                     label,
@@ -684,23 +701,8 @@ pub fn tune(
             // Nothing certified-and-measured beat the original: fall back to
             // the baseline, certified by the (trivial) identity equivalence
             // so even the fallback carries a verifier verdict.
-            let verdict = verifier.verify(Query::Equivalence(program, program))?;
-            if !matches!(verdict.outcome, Outcome::Equivalent { .. }) {
-                return unsupported(format!(
-                    "identity equivalence produced unexpected outcome {:?}",
-                    verdict.outcome
-                ));
-            }
             (
-                CertifiedTransform {
-                    original: program.clone(),
-                    transformed: program.clone(),
-                    synthesized: Vec::new(),
-                    certificate: Certificate {
-                        kind: CertificateKind::Equivalence,
-                        verdict,
-                    },
-                },
+                certify_fusion(verifier, program, program)?,
                 String::from("original"),
             )
         }
@@ -720,6 +722,7 @@ pub fn tune(
 mod tests {
     use super::*;
     use retreet_lang::corpus;
+    use retreet_verify::SourceQuery;
 
     fn verifier() -> Verifier {
         Verifier::builder()
@@ -866,6 +869,45 @@ mod tests {
             other => panic!("expected the E4b race refusal, got {other:?}"),
         }
         assert!(tuned.refused_count() >= 1);
+    }
+
+    #[test]
+    fn racy_candidates_are_refused_before_their_equivalence_is_asked() {
+        // cycletree's E4b refusal and CSS minify's racy `par-passes`
+        // groupings: the race witness refuses each, and the verifier never
+        // saw its equivalence query.  A certified parallel candidate's
+        // equivalence was asked, so the cache check is not vacuous.
+        for program in [corpus::cycletree_original(), corpus::css_minify_original()] {
+            let verifier = verifier();
+            let tuned = tune(&verifier, &program, &TuneOptions::quick(), &mut |_| Ok(1.0))
+                .expect("the family tunes");
+            let original = print_program(&program);
+            let mut racy = 0;
+            for candidate in &tuned.candidates {
+                let Some(parallel) = candidate.program.as_ref() else {
+                    continue;
+                };
+                if !program_has_parallelism(parallel) {
+                    continue;
+                }
+                let asked = verifier
+                    .cached(SourceQuery::Equivalence(&original, &candidate.source()))
+                    .is_some();
+                match &candidate.status {
+                    CandidateStatus::Certified { .. } => assert!(asked, "{}", candidate.label),
+                    CandidateStatus::Refused(refusal) => {
+                        racy += 1;
+                        assert!(
+                            matches!(refusal, TransformError::DataRace(_)),
+                            "{}: {refusal}",
+                            candidate.label
+                        );
+                        assert!(!asked, "{}: equivalence asked", candidate.label);
+                    }
+                }
+            }
+            assert!(racy >= 1, "{}", original);
+        }
     }
 
     #[test]

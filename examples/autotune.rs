@@ -1,8 +1,8 @@
 //! Tunes the CSS-minify pipeline (E3) with the certified schedule
 //! autotuner: enumerates the partial-fusion × parallelization space of
-//! `Main`'s three passes, certifies every candidate through one
-//! `verify_batch` call, measures the survivors on the bytecode VM, prints
-//! the scored candidate table with certificates, and runs the winner.
+//! `Main`'s three passes, certifies every candidate race-first through two
+//! `verify_batch` calls, times the survivors on the bytecode VM, prints the
+//! scored candidate table with certificates, and runs the winner.
 //!
 //! ```bash
 //! cargo run --release --example autotune

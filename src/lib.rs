@@ -72,8 +72,8 @@
 //! | `VerifiedFusion::run_fused2(&mut tree, &a, &b)` / `run_fused3(…)` *(removed)* | run the certified fused program: `ProgramExecutor::with_verifier(&verifier, &t.transformed).run(&tree)` |
 //! | `retreet_runtime::visit::fuse2(&a, &b)` / `fuse3(…)` *(removed)* | fuse the passes as a program: `retreet_transform::fuse_main_passes(&verifier, &original)`, then run `t.transformed` through `ProgramExecutor` |
 //! | hand-writing a fused program and checking `Query::Equivalence` | `retreet_transform::fuse_main_passes(&verifier, &original)` — the fused program is synthesized and returned with its certificate |
-//! | `fuse_main_passes(&verifier, &p)` as the *only* schedule considered | `retreet_transform::tune(&verifier, &p, &TuneOptions::default(), &mut cost)` — whole-pass fusion is one point in the enumerated partial-fusion × parallelization space; the tuner certifies every candidate in one batch and returns the measured winner (never slower than best-of{original, canonical fusion}) plus the full scored table |
-//! | hand-picking between the fused and the parallel schedule by guesswork | `retreet_runtime::tune_and_compile(&verifier, &p, &options)` — the VM-backed cost model: each certified candidate compiled once through `ProgramExecutor` (interpreter timings refused), probe-run differential-checked, best-of-batches measured; returns the `TunedSchedule` *and* the winner's ready-to-run executor |
+//! | `fuse_main_passes(&verifier, &p)` as the *only* schedule considered | `retreet_transform::tune(&verifier, &p, &TuneOptions::default(), &mut cost)` — whole-pass fusion is one point in the enumerated partial-fusion × parallelization space; the tuner certifies every candidate in two batches, race queries first (a racy candidate is refused with its witness and its equivalence is never asked), and returns the measured winner (never slower than best-of{original, canonical fusion}) plus the full scored table |
+//! | hand-picking between the fused and the parallel schedule by guesswork | `retreet_runtime::tune_and_compile(&verifier, &p, &options)` — the VM-backed cost model: each certified candidate compiled once through `ProgramExecutor` (interpreter timings refused), probe-run differential-checked, best-of-batches measured on the VM alone (single runs on fresh clones of the candidate's flat tree; no flattening or write-back in the timer); returns the `TunedSchedule` *and* the executor it measured for the winner, ready to run |
 //! | hand-writing a parallel `Main` and checking `Query::DataRace` | `retreet_transform::synthesize_parallel_main(&verifier, &sequential)` (pass level) / `retreet_transform::parallelize_recursive_calls(&verifier, &p)` (sibling recursion) |
 //! | `retreet_css::analysis_model::verify_css_fusion(&EquivOptions)` *(removed)* | `retreet_css::analysis_model::verify_css_fusion_with(&verifier)` (verdict only) or `certify_css_fusion(&verifier)` (synthesized certified transform) |
 //! | mutating `RaceOptions` / `EquivOptions` / `EnumOptions` fields | `RaceOptions::builder()…build()` etc., or set the budget once on the `Verifier` builder |
@@ -138,6 +138,7 @@
 //! | `rayon::join` (the in-tree shim) | **removed** (its only caller was `retreet_runtime::visit`): use `rayon::scope` + `Scope::spawn` |
 //! | `ProgramExecutor::vm_runs()` / `interp_runs()` | **removed**: every `ExecOutcome` and `CompleteRun` says which tier ran it in `tier`; count those.  The executor now runs on the calling thread's pooled `Vm` instead of one `Vm` behind a mutex, so threads sharing an executor no longer wait for each other |
 //! | `TreeNode::new(v, l, r)` / `is_leaf()` / `map(f)` / `postorder()` / `render()` | **removed** (no caller): build with `TreeNode::leaf(v)` and set `left` / `right`; test `left.is_none() && right.is_none()`; `preorder()`, `len()` and `height()` remain |
+//! | `"code":"internal"` on a `run` request whose program faults (a nil dereference, a call-depth overflow) | `"code":"program_fault"`, with the same `error` text: the fault is the client program's, raised identically by the reference interpreter.  `internal` now means only a fault of the service itself |
 //! | `retreet_css::minify::{convert_values_visitor, minify_font_visitor, reduce_init_visitor}` | **removed**: the per-declaration passes `convert_values_decl` / `minify_font_decl` / `reduce_init_decl` remain, and `minify_unfused` / `minify_fused` run them as separate or fused traversals |
 //!
 //! # Benchmarks

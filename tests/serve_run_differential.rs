@@ -86,7 +86,7 @@ fn check_run(
         Err(_) => {
             assert_eq!(
                 field(&response, "code").as_str(),
-                Some("internal"),
+                Some("program_fault"),
                 "{context}"
             );
             None
