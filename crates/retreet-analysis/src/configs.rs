@@ -130,62 +130,13 @@ pub enum ConfigRelation {
     Incompatible,
 }
 
-/// Options controlling configuration enumeration.
-///
-/// Construct with [`EnumOptions::builder`] (or take the defaults); prefer
-/// the builder over mutating fields in place.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct EnumOptions {
-    /// Hard cap on the number of stack frames explored (defensive; the
-    /// no-self-call restriction already bounds depth by tree height × number
-    /// of functions).
-    pub max_depth: usize,
-    /// Hard cap on the number of configurations produced per tree.
-    pub max_configurations: usize,
-}
+/// Hard cap on the stack frames a configuration explores (defensive; the
+/// no-self-call restriction already bounds depth by tree height × number of
+/// functions).
+pub const MAX_DEPTH: usize = 64;
 
-impl Default for EnumOptions {
-    fn default() -> Self {
-        EnumOptions {
-            max_depth: 64,
-            max_configurations: 200_000,
-        }
-    }
-}
-
-impl EnumOptions {
-    /// Starts a builder seeded with the default options.
-    pub fn builder() -> EnumOptionsBuilder {
-        EnumOptionsBuilder {
-            options: EnumOptions::default(),
-        }
-    }
-}
-
-/// Builder for [`EnumOptions`].
-#[derive(Debug, Clone, Default)]
-pub struct EnumOptionsBuilder {
-    options: EnumOptions,
-}
-
-impl EnumOptionsBuilder {
-    /// Hard cap on the number of stack frames explored.
-    pub fn max_depth(mut self, max_depth: usize) -> Self {
-        self.options.max_depth = max_depth;
-        self
-    }
-
-    /// Hard cap on the number of configurations produced per tree.
-    pub fn max_configurations(mut self, max_configurations: usize) -> Self {
-        self.options.max_configurations = max_configurations;
-        self
-    }
-
-    /// Finalizes the options.
-    pub fn build(self) -> EnumOptions {
-        self.options
-    }
-}
+/// Hard cap on the configurations enumerated per tree.
+pub const MAX_CONFIGURATIONS: usize = 200_000;
 
 /// Tree-independent symbolic path summaries, computed once per program and
 /// shared by every tree a query enumerates.
@@ -367,15 +318,11 @@ impl FrameChain {
 /// summaries, solver cache and symbol table for a single tree.  Queries that
 /// walk many trees should build those once and call [`enumerate_shared`]
 /// per tree instead.
-pub fn enumerate(
-    table: &BlockTable,
-    tree: &ValueTree,
-    options: &EnumOptions,
-) -> Vec<Configuration> {
+pub fn enumerate(table: &BlockTable, tree: &ValueTree) -> Vec<Configuration> {
     let summaries = PathSummaries::new();
     let cache = SolverCache::new();
     let symtab = SharedSymTab::new();
-    enumerate_shared(table, &summaries, tree, options, &cache, &symtab)
+    enumerate_shared(table, &summaries, tree, &cache, &symtab)
 }
 
 /// [`enumerate`] with the query-lifetime state shared across trees: the
@@ -386,7 +333,6 @@ pub fn enumerate_shared(
     table: &BlockTable,
     summaries: &PathSummaries,
     tree: &ValueTree,
-    options: &EnumOptions,
     cache: &SolverCache,
     symtab: &SharedSymTab,
 ) -> Vec<Configuration> {
@@ -408,7 +354,6 @@ pub fn enumerate_shared(
     let mut explorer = Explorer {
         table,
         tree,
-        options,
         summaries,
         symtab,
         solver: IncrementalSolver::new(Solver::decision_only(), cache),
@@ -424,7 +369,6 @@ pub fn enumerate_shared(
 struct Explorer<'a> {
     table: &'a BlockTable,
     tree: &'a ValueTree,
-    options: &'a EnumOptions,
     summaries: &'a PathSummaries,
     symtab: &'a SharedSymTab,
     solver: IncrementalSolver<'a>,
@@ -434,8 +378,7 @@ struct Explorer<'a> {
 
 impl Explorer<'_> {
     fn explore(&mut self, frames: &Arc<FrameChain>, params: Vec<LinExpr>) {
-        if frames.len > self.options.max_depth || self.out.len() >= self.options.max_configurations
-        {
+        if frames.len > MAX_DEPTH || self.out.len() >= MAX_CONFIGURATIONS {
             return;
         }
         let table = self.table;
@@ -479,7 +422,7 @@ impl Explorer<'_> {
                             target: block,
                             constraints: self.solver.current_system(),
                         });
-                        if self.out.len() >= self.options.max_configurations {
+                        if self.out.len() >= MAX_CONFIGURATIONS {
                             self.solver.pop();
                             return;
                         }
@@ -930,18 +873,11 @@ mod tests {
         let ctx = AnalysisContext::new(&program);
         let fields: Vec<&str> = ctx.fields.iter().map(String::as_str).collect();
         let trees = crate::vtree::TreeCorpus::with_arity(program.arity, 3, &fields, 2);
-        let options = EnumOptions::default();
         for i in 0..trees.len() {
             let tree = trees.tree(i);
-            let shared = enumerate_shared(
-                &ctx.table,
-                &ctx.summaries,
-                &tree,
-                &options,
-                &ctx.cache,
-                &ctx.symtab,
-            );
-            let fresh = enumerate(&ctx.table, &tree, &options);
+            let shared =
+                enumerate_shared(&ctx.table, &ctx.summaries, &tree, &ctx.cache, &ctx.symtab);
+            let fresh = enumerate(&ctx.table, &tree);
             let describe = |configs: &[Configuration]| -> Vec<String> {
                 configs.iter().map(|c| c.describe(&ctx.table)).collect()
             };
@@ -954,7 +890,7 @@ mod tests {
         let program = corpus::size_counting_parallel();
         let table = BlockTable::build(&program);
         let tree = ValueTree::single();
-        let configs = enumerate(&table, &tree, &EnumOptions::default());
+        let configs = enumerate(&table, &tree);
         // The execution shown in §3 on a single node u has 6 iterations
         // (s0 on u.l, s0 on u.r, s7 on u, s4 on u.l, s4 on u.r, s3 on u) plus
         // Main's return s10 on u; the over-approximating enumeration must
@@ -975,7 +911,7 @@ mod tests {
         let program = corpus::size_counting_parallel();
         let table = BlockTable::build(&program);
         let tree = ValueTree::single();
-        let configs = enumerate(&table, &tree, &EnumOptions::default());
+        let configs = enumerate(&table, &tree);
         // On a single-node tree the recursion immediately hits nil children:
         // no configuration can be deeper than Main -> Odd/Even -> Even/Odd
         // (on a nil child) and then stops.
@@ -995,7 +931,7 @@ mod tests {
         let program = corpus::size_counting_parallel();
         let table = BlockTable::build(&program);
         let tree = three_node_tree();
-        let configs = enumerate(&table, &tree, &EnumOptions::default());
+        let configs = enumerate(&table, &tree);
         // Find a configuration under the Odd branch (s8) and one under the
         // Even branch (s9): they must be parallel.
         let under_odd = configs
@@ -1023,7 +959,7 @@ mod tests {
         let program = corpus::size_counting_sequential();
         let table = BlockTable::build(&program);
         let tree = ValueTree::single();
-        let configs = enumerate(&table, &tree, &EnumOptions::default());
+        let configs = enumerate(&table, &tree);
         let under_odd = configs
             .iter()
             .find(|c| c.frames.len() >= 2 && c.frames[1].call_block == Some(BlockId(8)))
@@ -1047,7 +983,7 @@ mod tests {
         let program = corpus::overlapping_parallel();
         let table = BlockTable::build(&program);
         let tree = ValueTree::single();
-        let configs = enumerate(&table, &tree, &EnumOptions::default());
+        let configs = enumerate(&table, &tree);
         // Two parallel configurations both writing root.total must exist.
         let mut found = false;
         for (i, a) in configs.iter().enumerate() {
@@ -1068,7 +1004,7 @@ mod tests {
         let program = corpus::size_counting_sequential();
         let table = BlockTable::build(&program);
         let tree = ValueTree::single();
-        let configs = enumerate(&table, &tree, &EnumOptions::default());
+        let configs = enumerate(&table, &tree);
         // s0 (then branch of Odd) and a configuration through the else branch
         // of the same Odd activation cannot coexist; on a single-node tree the
         // else branch of the root Odd activation is taken, so compare the

@@ -74,8 +74,7 @@ pub mod summary;
 pub mod vtree;
 
 pub use configs::{
-    AnalysisContext, ConfigRelation, Configuration, EnumOptions, Frame, Loc, PathSummaries,
-    SharedSymTab,
+    AnalysisContext, ConfigRelation, Configuration, Frame, Loc, PathSummaries, SharedSymTab,
 };
 pub use equiv::{
     check_equivalence, check_equivalence_cancellable, Disagreement, EquivCounterExample,

@@ -38,7 +38,7 @@ use retreet_lang::wp::{self, PathCondition, SymbolicEnv};
 use retreet_logic::{Atom, LinExpr, Solver, Sym, SymTab, System};
 
 use crate::configs::{
-    dependence, relation, ConfigRelation, Configuration, EnumOptions, Frame, Loc,
+    dependence, relation, ConfigRelation, Configuration, Frame, Loc, MAX_CONFIGURATIONS, MAX_DEPTH,
 };
 use crate::equiv::{Disagreement, EquivCounterExample, EquivOptions, EquivVerdict};
 use crate::interp::{self, ExecOrder, Iteration, RunResult};
@@ -59,11 +59,7 @@ pub fn run_with_table(
 /// The pre-optimization configuration enumeration: clone-per-branch DFS,
 /// per-frame weakest-precondition recomputation, uncached from-scratch
 /// solving of every extension.
-pub fn enumerate(
-    table: &BlockTable,
-    tree: &ValueTree,
-    options: &EnumOptions,
-) -> Vec<Configuration> {
+pub fn enumerate(table: &BlockTable, tree: &ValueTree) -> Vec<Configuration> {
     let program = table.program();
     let Some(main_idx) = program.func_index(retreet_lang::ast::MAIN) else {
         return Vec::new();
@@ -84,7 +80,6 @@ pub fn enumerate(
     explore(
         table,
         tree,
-        options,
         &mut symtab,
         &mut out,
         vec![main_frame],
@@ -99,7 +94,6 @@ pub fn enumerate(
 fn explore(
     table: &BlockTable,
     tree: &ValueTree,
-    options: &EnumOptions,
     symtab: &mut SymTab,
     out: &mut Vec<Configuration>,
     frames: Vec<Frame>,
@@ -107,7 +101,7 @@ fn explore(
     constraints: System,
     stack_sig: &mut String,
 ) {
-    if frames.len() > options.max_depth || out.len() >= options.max_configurations {
+    if frames.len() > MAX_DEPTH || out.len() >= MAX_CONFIGURATIONS {
         return;
     }
     let solver = Solver::decision_only();
@@ -148,7 +142,7 @@ fn explore(
                         target: block,
                         constraints: combined,
                     });
-                    if out.len() >= options.max_configurations {
+                    if out.len() >= MAX_CONFIGURATIONS {
                         return;
                     }
                 }
@@ -196,7 +190,6 @@ fn explore(
                     explore(
                         table,
                         tree,
-                        options,
                         symtab,
                         out,
                         child_frames,
@@ -391,7 +384,7 @@ pub fn check_data_race(program: &Program, options: &RaceOptions) -> RaceVerdict 
     );
     let mut total_configs = 0usize;
     for tree in &trees {
-        let configs = enumerate(&table, tree, &options.enumeration);
+        let configs = enumerate(&table, tree);
         total_configs += configs.len();
         if let Some(witness) = find_race(&table, tree, &configs) {
             return RaceVerdict::Race(witness);

@@ -20,7 +20,7 @@ use retreet_lang::blocks::BlockTable;
 use retreet_lang::rw::{rw_sets, Access};
 use retreet_logic::SolverCache;
 
-use crate::configs::{self, AnalysisContext, ConfigRelation, Configuration, EnumOptions};
+use crate::configs::{self, AnalysisContext, ConfigRelation, Configuration};
 use crate::interp;
 use crate::vtree::{test_trees_kary, NodeId, TreeCorpus, ValueTree};
 use crate::NEVER_CANCELLED;
@@ -42,8 +42,6 @@ pub struct RaceOptions {
     pub max_nodes: usize,
     /// Number of deterministic field valuations per tree shape.
     pub valuations: usize,
-    /// Configuration-enumeration limits.
-    pub enumeration: EnumOptions,
 }
 
 impl Default for RaceOptions {
@@ -51,7 +49,6 @@ impl Default for RaceOptions {
         RaceOptions {
             max_nodes: 4,
             valuations: 2,
-            enumeration: EnumOptions::default(),
         }
     }
 }
@@ -81,12 +78,6 @@ impl RaceOptionsBuilder {
     /// Number of deterministic field valuations per tree shape.
     pub fn valuations(mut self, valuations: usize) -> Self {
         self.options.valuations = valuations;
-        self
-    }
-
-    /// Configuration-enumeration limits.
-    pub fn enumeration(mut self, enumeration: EnumOptions) -> Self {
-        self.options.enumeration = enumeration;
         self
     }
 
@@ -195,14 +186,8 @@ pub fn check_data_race_cancellable(
             return None;
         }
         let tree = corpus.tree(i);
-        let configs = configs::enumerate_shared(
-            table,
-            &ctx.summaries,
-            &tree,
-            &options.enumeration,
-            &ctx.cache,
-            &ctx.symtab,
-        );
+        let configs =
+            configs::enumerate_shared(table, &ctx.summaries, &tree, &ctx.cache, &ctx.symtab);
         total_configs += configs.len();
         if let Some(witness) = find_race(table, &tree, &configs, &ctx.cache, cancel) {
             return Some(RaceVerdict::Race(witness));
@@ -354,7 +339,6 @@ mod tests {
         RaceOptions {
             max_nodes: 3,
             valuations: 1,
-            enumeration: EnumOptions::default(),
         }
     }
 

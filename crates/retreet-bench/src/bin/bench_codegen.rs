@@ -2,9 +2,11 @@
 //!
 //! Compiles every executable §5 workload through `retreet-codegen` (with
 //! verifier-certified iterative lowering), differential-checks the VM
-//! against the reference interpreter, measures interpreter vs VM vs
-//! VM-on-certified-fusion on concrete trees, and writes the
-//! machine-readable report to `BENCH_codegen.json` at the repository root.
+//! against the reference interpreter, measures the interpreter against the
+//! VM on concrete trees, and writes the machine-readable report to
+//! `BENCH_codegen.json` at the repository root.  The VM seconds time the
+//! program alone: one `Vm::run_flat` per sample on a fresh clone of the
+//! workload's flat tree, with flattening and write-back outside the timer.
 //!
 //! ```text
 //! bench_codegen [--quick] [--out PATH] [--min-speedup X]

@@ -17,11 +17,15 @@
 //! * `--batches N` / `--per-batch N` — timing loop shape (overrides the
 //!   budget's defaults, best-of-batches).
 //!
-//! The process fails on five regressions, none of which is a performance
+//! The process fails on six regressions, none of which is a performance
 //! number:
 //!
 //! * **drift** — the winning schedule's VM run diverges from the original
 //!   program's interpreter reference;
+//! * **canonical fusion lost** — a family's whole-run fusion (the tuner's
+//!   first candidate, the program `fuse_main_passes` builds) is not
+//!   certified or cannot be measured: its drift probe against the
+//!   interpreter reference failed or it fell off the VM tier;
 //! * **baseline regression** — a tuned cost above
 //!   best-of{original, canonical fusion}, violating the tuner's guarantee;
 //! * **missing certificate** — a winner whose verdict lacks engine or
@@ -94,9 +98,11 @@ fn main() {
         (
             "full",
             Budget::default(),
-            // Height 14 matches bench_transform's full trees — large enough
-            // that whole-pass fusion stops paying on E3/E4a (the working
-            // set outgrows cache) and the tuner's schedule choice matters.
+            // Height 14 matches bench_codegen's full trees, so the two
+            // benches time the same VM runs.  At this height the canonical
+            // fusion beats the original on every family in the committed
+            // report (1.03× on E5 to 1.50× on E3), and only E1's winner, a
+            // partial schedule, beats the canonical fusion.
             TuneOptions {
                 tree_height: 14,
                 batches: 5,
@@ -129,6 +135,13 @@ fn main() {
 
     let mut failed = false;
     for row in &rows {
+        if row.baseline_fused_seconds.is_none() {
+            eprintln!(
+                "bench_tune: {} canonical fusion was not certified or could not be measured",
+                row.id
+            );
+            failed = true;
+        }
         if row.drift {
             eprintln!(
                 "bench_tune: {} winner diverged from the interpreter reference",

@@ -482,15 +482,27 @@ impl EnginePerfRow {
 }
 
 /// Best (minimum) mean-per-call wall-clock over `batches` batches of
-/// `per_batch` calls — the noise-robust measurement the perf report uses.
-fn best_of<F: FnMut()>(batches: usize, per_batch: usize, mut f: F) -> f64 {
+/// `per_batch` calls — the noise-robust measurement the perf reports use.
+/// Each call runs on a fresh input from `setup`; making that input and
+/// dropping it and the call's result happen outside the timer.
+fn best_of<S, R>(
+    batches: usize,
+    per_batch: usize,
+    mut setup: impl FnMut() -> S,
+    mut f: impl FnMut(&mut S) -> R,
+) -> f64 {
+    let per_batch = per_batch.max(1);
     let mut best = f64::INFINITY;
     for _ in 0..batches.max(1) {
-        let start = std::time::Instant::now();
-        for _ in 0..per_batch.max(1) {
-            f();
+        let mut elapsed = std::time::Duration::ZERO;
+        for _ in 0..per_batch {
+            let mut input = setup();
+            let start = std::time::Instant::now();
+            let output = std::hint::black_box(f(&mut input));
+            elapsed += start.elapsed();
+            drop((input, output));
         }
-        best = best.min(start.elapsed().as_secs_f64() / per_batch.max(1) as f64);
+        best = best.min(elapsed.as_secs_f64() / per_batch as f64);
     }
     best
 }
@@ -567,14 +579,13 @@ pub fn measure_engine_perf(
         } else {
             Verdict::Invalid
         };
-        let naive_seconds = best_of(batches, per_batch, || {
-            let v = naive::check_equivalence(original, transformed, &equiv_options);
-            std::hint::black_box(&v);
-        });
-        let optimized_seconds = best_of(batches, per_batch, || {
-            let r = run_optimized(budget);
-            std::hint::black_box(&r);
-        });
+        let naive_seconds = best_of(
+            batches,
+            per_batch,
+            || (),
+            |_| naive::check_equivalence(original, transformed, &equiv_options),
+        );
+        let optimized_seconds = best_of(batches, per_batch, || (), |_| run_optimized(budget));
         rows.push(EnginePerfRow {
             id: result.id,
             description: result.description,
@@ -607,14 +618,13 @@ pub fn measure_engine_perf(
         } else {
             Verdict::Race
         };
-        let naive_seconds = best_of(batches, per_batch, || {
-            let v = naive::check_data_race(program, &race_options);
-            std::hint::black_box(&v);
-        });
-        let optimized_seconds = best_of(batches, per_batch, || {
-            let r = run_optimized(budget);
-            std::hint::black_box(&r);
-        });
+        let naive_seconds = best_of(
+            batches,
+            per_batch,
+            || (),
+            |_| naive::check_data_race(program, &race_options),
+        );
+        let optimized_seconds = best_of(batches, per_batch, || (), |_| run_optimized(budget));
         rows.push(EnginePerfRow {
             id: result.id,
             description: result.description,
@@ -723,339 +733,6 @@ pub fn engine_perf_to_json(sections: &[(&str, &Budget, Vec<EnginePerfRow>)]) -> 
         out.push_str(if s + 1 < sections.len() { ",\n" } else { "\n" });
     }
     out.push_str("  }\n}\n");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// The transform report: certificates + fused-vs-sequential runtime
-// ---------------------------------------------------------------------------
-
-/// One certificate row of the transform report: a §5 fusion synthesized by
-/// `retreet_transform::fuse_main_passes` with its equivalence certificate.
-#[derive(Debug, Clone)]
-pub struct TransformCertRow {
-    /// Experiment identifier (E1, E2, E3, E4a).
-    pub id: &'static str,
-    /// Corpus case name.
-    pub case: &'static str,
-    /// How many fused functions the worklist synthesized.
-    pub fused_functions: usize,
-    /// Certificate kind (`"equivalence"` when certified).
-    pub kind: String,
-    /// Engine provenance of the certifying verdict.
-    pub engine: &'static str,
-    /// Soundness of the certifying verdict (`"unbounded"` for a fusion
-    /// correspondence, the bounded rendering otherwise).
-    pub soundness: String,
-    /// Bounded models the certificate rests on (0 for an unbounded
-    /// correspondence certificate, which does not enumerate models).
-    pub trees_checked: usize,
-    /// True when the transform layer produced a certified program that
-    /// validates and roundtrips; false records a drift (and fails the run).
-    pub certified: bool,
-    /// Wall-clock of the certifying verdict, seconds.
-    pub elapsed_seconds: f64,
-    /// Failure detail when `certified` is false.
-    pub detail: String,
-}
-
-/// Synthesizes and certifies every fusable §5 case through the transform
-/// layer under `budget`, recording certificate provenance.  A row with
-/// `certified == false` is *certificate drift* — the construction or the
-/// verdict changed — and `bench_transform` fails on it.
-pub fn certify_transforms(budget: &Budget) -> Vec<TransformCertRow> {
-    use retreet_transform::fuse_main_passes;
-
-    let verifier = budget.equivalence_verifier();
-    let cases: [(&'static str, &'static str, retreet_lang::ast::Program); 5] = [
-        ("E1", "size_counting", corpus::size_counting_sequential()),
-        ("E2", "tree_mutation", corpus::tree_mutation_original()),
-        ("E3", "css_minify", corpus::css_minify_original()),
-        ("E4a", "cycletree", corpus::cycletree_original()),
-        ("E5", "kdtree_closest", corpus::kdtree_closest()),
-    ];
-    cases
-        .into_iter()
-        .map(
-            |(id, case, original)| match fuse_main_passes(&verifier, &original) {
-                Ok(certified) => TransformCertRow {
-                    id,
-                    case,
-                    fused_functions: certified
-                        .transformed
-                        .funcs
-                        .iter()
-                        .filter(|f| f.name.starts_with("Fused_"))
-                        .count(),
-                    kind: certified.certificate.kind.to_string(),
-                    engine: certified.certificate.engine().name(),
-                    soundness: certified.certificate.verdict.soundness.to_string(),
-                    trees_checked: certified.certificate.trees_checked(),
-                    certified: true,
-                    elapsed_seconds: certified.certificate.verdict.elapsed.as_secs_f64(),
-                    detail: String::new(),
-                },
-                Err(err) => TransformCertRow {
-                    id,
-                    case,
-                    fused_functions: 0,
-                    kind: String::from("none"),
-                    engine: "none",
-                    soundness: String::from("none"),
-                    trees_checked: 0,
-                    certified: false,
-                    elapsed_seconds: 0.0,
-                    detail: err.to_string(),
-                },
-            },
-        )
-        .collect()
-}
-
-/// One runtime row of the transform report: the certified fused program
-/// against the original sequential composition, both executed through the
-/// `retreet-codegen` VM tier on the same seeded tree.
-#[derive(Debug, Clone)]
-pub struct TransformPerfRow {
-    /// Experiment identifier (E1, E2, E3, E4a).
-    pub id: &'static str,
-    /// Workload description.
-    pub case: &'static str,
-    /// How many passes the sequential baseline runs.
-    pub passes: usize,
-    /// Workload size (tree nodes).
-    pub input_size: usize,
-    /// Best-of-batches wall-clock of the sequential composition on the VM,
-    /// seconds.
-    pub sequential_seconds: f64,
-    /// Best-of-batches wall-clock of the certified fusion on the VM,
-    /// seconds.
-    pub fused_seconds: f64,
-    /// True when either program diverged from the interpreter reference (or
-    /// fell off the VM tier) before timing — a correctness regression that
-    /// fails the bench.
-    pub drift: bool,
-}
-
-impl TransformPerfRow {
-    /// sequential / fused.
-    pub fn speedup(&self) -> f64 {
-        self.sequential_seconds / self.fused_seconds
-    }
-}
-
-/// Measures certified-fusion-vs-sequential runtime on all five fusable
-/// families (E1/E2/E3/E4a plus the E5 k-d find-closest-point pair), executing **both** programs through the compiled VM tier
-/// (`ProgramExecutor::with_verifier`, certified lowering included) on the
-/// same seeded complete tree — real execution-tier numbers, not the old
-/// interpreter-vs-interpreter (or native-stand-in) comparison.  Before any
-/// timing, both programs are differential-checked against the interpreter
-/// reference; a mismatch marks the row as drift.
-pub fn measure_transform_perf(
-    verifier: &Verifier,
-    batches: usize,
-    per_batch: usize,
-    tree_height: usize,
-) -> Vec<TransformPerfRow> {
-    use retreet_analysis::vtree::ValueTree;
-    use retreet_codegen::{program_fields, trees_agree};
-    use retreet_runtime::exec::{ExecTier, ProgramExecutor};
-    use retreet_transform::fuse_main_passes;
-
-    type PerfCase = (
-        &'static str,
-        &'static str,
-        usize,
-        retreet_lang::ast::Program,
-    );
-    let cases: [PerfCase; 5] = [
-        (
-            "E1",
-            "size counting: Odd; Even (2 passes) vs certified fusion, on the VM",
-            2,
-            corpus::size_counting_sequential(),
-        ),
-        (
-            "E2",
-            "tree mutation: Swap; IncrmLeft (2 passes) vs certified fusion, on the VM",
-            2,
-            corpus::tree_mutation_original(),
-        ),
-        (
-            "E3",
-            "CSS minify: ConvertValues; MinifyFont; ReduceInit (3 passes) vs certified fusion, on the VM",
-            3,
-            corpus::css_minify_original(),
-        ),
-        (
-            "E4a",
-            "cycletree: RootMode; ComputeRouting (2 passes) vs certified fusion, on the VM",
-            2,
-            corpus::cycletree_original(),
-        ),
-        (
-            "E5",
-            "k-d find-closest-point: ComputeDist; FoldMin (2 passes) vs certified fusion, on the VM",
-            2,
-            corpus::kdtree_closest(),
-        ),
-    ];
-
-    cases
-        .into_iter()
-        .map(|(id, case, passes, original)| {
-            let fused = fuse_main_passes(verifier, &original)
-                .unwrap_or_else(|err| panic!("{id}: fusion failed: {err}"));
-
-            let fields = program_fields(&original);
-            let field_refs: Vec<&str> = fields.iter().map(String::as_str).collect();
-            let mut tree = ValueTree::complete(tree_height, &field_refs, |_, _| 0);
-            tree.fill_fields(&field_refs, 7);
-
-            let sequential = ProgramExecutor::with_verifier(verifier, &original);
-            let fused_exec = ProgramExecutor::with_verifier(verifier, &fused.transformed);
-
-            // Differential gate before any timing: both programs on the VM
-            // tier, identical returns and semantically identical trees
-            // against the interpreter reference.
-            let drift = match (
-                sequential.run_interpreted(&tree),
-                sequential.run(&tree),
-                fused_exec.run(&tree),
-            ) {
-                (Ok(reference), Ok(seq_vm), Ok(fused_vm)) => {
-                    seq_vm.tier != ExecTier::Vm
-                        || fused_vm.tier != ExecTier::Vm
-                        || seq_vm.returns != reference.returns
-                        || fused_vm.returns != reference.returns
-                        || !trees_agree(&seq_vm.tree, &reference.tree)
-                        || !trees_agree(&fused_vm.tree, &reference.tree)
-                }
-                _ => true,
-            };
-
-            let sequential_seconds = best_of(batches, per_batch, || {
-                std::hint::black_box(sequential.run(&tree).ok());
-            });
-            let fused_seconds = best_of(batches, per_batch, || {
-                std::hint::black_box(fused_exec.run(&tree).ok());
-            });
-
-            TransformPerfRow {
-                id,
-                case,
-                passes,
-                input_size: tree.len(),
-                sequential_seconds,
-                fused_seconds,
-                drift,
-            }
-        })
-        .collect()
-}
-
-/// Renders the transform report as aligned text tables.
-pub fn render_transform_report(certs: &[TransformCertRow], perf: &[TransformPerfRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<5} {:<16} {:>6} {:>14} {:>14} {:>8} {:>10}\n",
-        "id", "case", "fused", "certificate", "engine", "models", "certified"
-    ));
-    for row in certs {
-        out.push_str(&format!(
-            "{:<5} {:<16} {:>6} {:>14} {:>14} {:>8} {:>10}\n",
-            row.id,
-            row.case,
-            row.fused_functions,
-            row.kind,
-            row.engine,
-            row.trees_checked,
-            if row.certified { "yes" } else { "NO" }
-        ));
-    }
-    out.push('\n');
-    out.push_str(&format!(
-        "{:<5} {:>7} {:>10} {:>16} {:>12} {:>9} {:>7}\n",
-        "id", "passes", "size", "sequential (ms)", "fused (ms)", "speedup", "drift"
-    ));
-    for row in perf {
-        out.push_str(&format!(
-            "{:<5} {:>7} {:>10} {:>16.4} {:>12.4} {:>8.2}x {:>7}\n",
-            row.id,
-            row.passes,
-            row.input_size,
-            row.sequential_seconds * 1e3,
-            row.fused_seconds * 1e3,
-            row.speedup(),
-            if row.drift { "DRIFT" } else { "ok" },
-        ));
-    }
-    out
-}
-
-/// Serializes the transform report to the `BENCH_transform.json` document
-/// (schema `retreet-bench-transform/v2`; format in `crates/README.md`).
-/// v2: runtime rows cover every fusable family (E1/E2/E3/E4a/E5), are
-/// measured on the compiled VM tier instead of native stand-ins, and carry
-/// a `drift` flag from the pre-timing differential check.
-pub fn transform_report_to_json(
-    budget_label: &str,
-    budget: &Budget,
-    certs: &[TransformCertRow],
-    perf: &[TransformPerfRow],
-) -> String {
-    let mut out = String::from("{\n  \"schema\": \"retreet-bench-transform/v2\",\n");
-    out.push_str(
-        "  \"methodology\": \"certificates: fuse_main_passes under the stated budget, \
-         verdict cache disabled; runtime: best-of-batches wall-clock of the sequential \
-         pass composition vs the certified fusion, both compiled to the retreet-codegen \
-         VM tier (certified lowering) and differential-checked against the interpreter \
-         before timing\",\n",
-    );
-    out.push_str(&format!(
-        "  \"budget\": {{ \"label\": \"{}\", \"equiv_nodes\": {}, \"equiv_valuations\": {} }},\n",
-        json_escape(budget_label),
-        budget.equiv_nodes,
-        budget.equiv_valuations,
-    ));
-    out.push_str("  \"certificates\": [\n");
-    for (i, row) in certs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"id\": \"{}\", \"case\": \"{}\", \"fused_functions\": {}, \
-             \"kind\": \"{}\", \"engine\": \"{}\", \"soundness\": \"{}\", \
-             \"trees_checked\": {}, \
-             \"certified\": {}, \"elapsed_seconds\": {:.6}, \"detail\": \"{}\" }}{}\n",
-            json_escape(row.id),
-            json_escape(row.case),
-            row.fused_functions,
-            json_escape(&row.kind),
-            json_escape(row.engine),
-            json_escape(&row.soundness),
-            row.trees_checked,
-            row.certified,
-            row.elapsed_seconds,
-            json_escape(&row.detail),
-            if i + 1 < certs.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n  \"runtime\": [\n");
-    for (i, row) in perf.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"id\": \"{}\", \"case\": \"{}\", \"passes\": {}, \"input_size\": {}, \
-             \"sequential_seconds\": {:.6}, \"fused_seconds\": {:.6}, \"speedup\": {:.2}, \
-             \"drift\": {} }}{}\n",
-            json_escape(row.id),
-            json_escape(row.case),
-            row.passes,
-            row.input_size,
-            row.sequential_seconds,
-            row.fused_seconds,
-            row.speedup(),
-            row.drift,
-            if i + 1 < perf.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
     out
 }
 
@@ -1454,8 +1131,7 @@ pub fn tune_report_to_json(
 // Codegen tier: interpreter vs bytecode VM
 // ---------------------------------------------------------------------------
 
-/// One executable workload timed on both execution tiers (and, where the
-/// workload's `Main` fuses, on the VM running the certifiably fused form).
+/// One executable workload timed on both execution tiers.
 #[derive(Debug, Clone)]
 pub struct CodegenPerfRow {
     /// Workload identifier (C1…).
@@ -1468,11 +1144,10 @@ pub struct CodegenPerfRow {
     pub lowered_funcs: usize,
     /// Best-of-batches wall-clock of the reference interpreter, seconds.
     pub interp_seconds: f64,
-    /// Best-of-batches wall-clock of the bytecode VM, seconds.
+    /// Best-of-batches wall-clock of the bytecode VM alone, seconds: one
+    /// run per sample on a fresh clone of the workload's flat tree, with
+    /// flattening, write-back and the clone outside the timer.
     pub vm_seconds: f64,
-    /// Best-of-batches wall-clock of the VM running the certified fusion of
-    /// the workload (`None` when `Main` has no certifiable fusion).
-    pub vm_fused_seconds: Option<f64>,
     /// True when the VM's returns or post-run tree diverged from the
     /// interpreter's — a correctness regression that fails the bench.
     pub drift: bool,
@@ -1482,11 +1157,6 @@ impl CodegenPerfRow {
     /// interpreter / VM.
     pub fn vm_speedup(&self) -> f64 {
         self.interp_seconds / self.vm_seconds
-    }
-
-    /// interpreter / VM-on-fused, when a certified fusion exists.
-    pub fn fused_speedup(&self) -> Option<f64> {
-        self.vm_fused_seconds.map(|s| self.interp_seconds / s)
     }
 }
 
@@ -1547,10 +1217,14 @@ fn codegen_workloads() -> Vec<(&'static str, &'static str, retreet_lang::ast::Pr
 /// Runs the codegen benchmark: for each executable §5 workload, compile
 /// with certified lowering (twice, so the certificate lines show the
 /// fresh-then-cached serving path), differential-check the VM against the
-/// interpreter on the same tree, then time interpreter vs VM vs
-/// VM-on-certified-fusion.  The `verifier` should have its cache *enabled*
-/// — honest `cached`/`coalesced` reporting is part of what this bench
-/// demonstrates.
+/// interpreter on the same tree, then time the interpreter against the VM.
+/// The VM timing covers the program alone: the workload's [`FlatTree`] is
+/// built once and each sample runs `Vm::run_flat` on a fresh clone of it,
+/// cloned outside the timer, as the schedule autotuner's cost model does.
+/// The `verifier` should have its cache *enabled* — honest
+/// `cached`/`coalesced` reporting is part of what this bench demonstrates.
+///
+/// [`FlatTree`]: retreet_codegen::FlatTree
 pub fn measure_codegen_perf(
     verifier: &Verifier,
     batches: usize,
@@ -1559,9 +1233,8 @@ pub fn measure_codegen_perf(
 ) -> (Vec<CodegenPerfRow>, Vec<CodegenCertRow>) {
     use retreet_analysis::interp;
     use retreet_analysis::vtree::ValueTree;
-    use retreet_codegen::{compile_with_lowering, trees_agree, Vm};
+    use retreet_codegen::{compile_with_lowering, trees_agree, FlatTree, Vm};
     use retreet_lang::blocks::BlockTable;
-    use retreet_transform::fuse_main_passes;
 
     let mut rows = Vec::new();
     let mut certs = Vec::new();
@@ -1615,20 +1288,19 @@ pub fn measure_codegen_perf(
             _ => true,
         };
 
-        let interp_seconds = best_of(batches, per_batch, || {
-            std::hint::black_box(interp::run_with_table(&table, &tree).ok());
-        });
-        let vm_seconds = best_of(batches, per_batch, || {
-            std::hint::black_box(vm.run(&compiled, &tree).ok());
-        });
-        let vm_fused_seconds = fuse_main_passes(verifier, &program)
-            .ok()
-            .and_then(|fused| compile_with_lowering(verifier, &fused.transformed).ok())
-            .map(|compiled_fused| {
-                best_of(batches, per_batch, || {
-                    std::hint::black_box(vm.run(&compiled_fused, &tree).ok());
-                })
-            });
+        let interp_seconds = best_of(
+            batches,
+            per_batch,
+            || (),
+            |_| interp::run_with_table(&table, &tree).ok(),
+        );
+        let flat = FlatTree::from_value_tree_kary(&tree, &compiled.fields, compiled.arity);
+        let vm_seconds = best_of(
+            batches,
+            per_batch,
+            || flat.clone(),
+            |sample| vm.run_flat(&compiled, sample).ok(),
+        );
 
         rows.push(CodegenPerfRow {
             id,
@@ -1637,7 +1309,6 @@ pub fn measure_codegen_perf(
             lowered_funcs: compiled.lowerings.len(),
             interp_seconds,
             vm_seconds,
-            vm_fused_seconds,
             drift,
         });
     }
@@ -1648,21 +1319,18 @@ pub fn measure_codegen_perf(
 pub fn render_codegen_report(rows: &[CodegenPerfRow], certs: &[CodegenCertRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<4} {:>8} {:>8} {:>12} {:>10} {:>8} {:>12} {:>7}\n",
-        "id", "nodes", "lowered", "interp (ms)", "vm (ms)", "speedup", "fused (ms)", "drift"
+        "{:<4} {:>8} {:>8} {:>12} {:>10} {:>8} {:>7}\n",
+        "id", "nodes", "lowered", "interp (ms)", "vm (ms)", "speedup", "drift"
     ));
     for row in rows {
         out.push_str(&format!(
-            "{:<4} {:>8} {:>8} {:>12.4} {:>10.4} {:>7.2}x {:>12} {:>7}\n",
+            "{:<4} {:>8} {:>8} {:>12.4} {:>10.4} {:>7.2}x {:>7}\n",
             row.id,
             row.nodes,
             row.lowered_funcs,
             row.interp_seconds * 1e3,
             row.vm_seconds * 1e3,
             row.vm_speedup(),
-            row.vm_fused_seconds
-                .map(|s| format!("{:.4}", s * 1e3))
-                .unwrap_or_else(|| String::from("-")),
             if row.drift { "DRIFT" } else { "ok" },
         ));
     }
@@ -1681,18 +1349,24 @@ pub fn render_codegen_report(rows: &[CodegenPerfRow], certs: &[CodegenCertRow]) 
 }
 
 /// Serializes the codegen report to the `BENCH_codegen.json` document
-/// (schema `retreet-bench-codegen/v1`; format in `crates/README.md`).
+/// (schema `retreet-bench-codegen/v2`; format in `crates/README.md`).
+/// v2: `vm_seconds` times the VM alone, without flattening or write-back,
+/// and the `vm_fused_seconds` / `fused_speedup` columns are gone
+/// (`BENCH_tune` times each canonical fusion).
 pub fn codegen_report_to_json(
     label: &str,
     tree_height: usize,
     rows: &[CodegenPerfRow],
     certs: &[CodegenCertRow],
 ) -> String {
-    let mut out = String::from("{\n  \"schema\": \"retreet-bench-codegen/v1\",\n");
+    let mut out = String::from("{\n  \"schema\": \"retreet-bench-codegen/v2\",\n");
     out.push_str(
         "  \"methodology\": \"best-of-batches wall-clock of the reference interpreter vs the \
-         retreet-codegen bytecode VM on complete trees; every iterative lowering certified by \
-         an equivalence verdict (fresh-then-cached serving path shown); VM outputs \
+         retreet-codegen bytecode VM on complete trees; the VM seconds time the program alone \
+         (single Vm::run_flat runs on fresh clones of the workload's flat tree, with \
+         flattening, write-back and the clone outside the timer), the interpreter seconds a \
+         whole interp::run_with_table call; every iterative lowering certified by an \
+         equivalence verdict (fresh-then-cached serving path shown); VM outputs \
          differential-checked against the interpreter before timing\",\n",
     );
     out.push_str(&format!(
@@ -1702,16 +1376,10 @@ pub fn codegen_report_to_json(
     ));
     out.push_str("  \"workloads\": [\n");
     for (i, row) in rows.iter().enumerate() {
-        let fused = match (row.vm_fused_seconds, row.fused_speedup()) {
-            (Some(seconds), Some(speedup)) => {
-                format!("\"vm_fused_seconds\": {seconds:.6}, \"fused_speedup\": {speedup:.2}")
-            }
-            _ => String::from("\"vm_fused_seconds\": null, \"fused_speedup\": null"),
-        };
         out.push_str(&format!(
             "    {{ \"id\": \"{}\", \"case\": \"{}\", \"nodes\": {}, \"lowered_funcs\": {}, \
              \"interp_seconds\": {:.6}, \"vm_seconds\": {:.6}, \"vm_speedup\": {:.2}, \
-             {}, \"drift\": {} }}{}\n",
+             \"drift\": {} }}{}\n",
             json_escape(row.id),
             json_escape(row.case),
             row.nodes,
@@ -1719,7 +1387,6 @@ pub fn codegen_report_to_json(
             row.interp_seconds,
             row.vm_seconds,
             row.vm_speedup(),
-            fused,
             row.drift,
             if i + 1 < rows.len() { "," } else { "" },
         ));
@@ -1762,7 +1429,7 @@ mod tests {
         assert!(certs.iter().any(|c| c.phase == "fresh" && !c.cached));
         assert!(certs.iter().any(|c| c.phase == "recompile" && c.cached));
         let json = codegen_report_to_json("quick", 6, &rows, &certs);
-        assert!(json.contains("\"schema\": \"retreet-bench-codegen/v1\""));
+        assert!(json.contains("\"schema\": \"retreet-bench-codegen/v2\""));
         assert!(json.contains("\"lowering_certificates\""));
     }
 
@@ -1874,45 +1541,6 @@ mod tests {
     }
 
     #[test]
-    fn transform_certificates_hold_under_the_quick_budget() {
-        let certs = certify_transforms(&Budget::quick());
-        assert_eq!(certs.len(), 5);
-        for row in &certs {
-            assert!(row.certified, "{} drifted: {}", row.id, row.detail);
-            assert_eq!(row.kind, "equivalence", "{}", row.id);
-            // A bounded certificate must rest on actual models; an
-            // unbounded fusion-correspondence certificate rests on none.
-            assert!(
-                row.trees_checked > 0 || row.soundness == "unbounded",
-                "{}: no models and no unbounded guarantee",
-                row.id
-            );
-        }
-        // The cycletree fusion is the only multi-function tuple family.
-        let cycletree = certs.iter().find(|r| r.id == "E4a").unwrap();
-        assert_eq!(cycletree.fused_functions, 4);
-    }
-
-    #[test]
-    fn transform_report_serializes_with_the_versioned_schema() {
-        let budget = Budget::quick();
-        let certs = certify_transforms(&budget);
-        let perf = measure_transform_perf(&budget.tune_verifier(), 1, 1, 6);
-        assert_eq!(perf.len(), 5, "all five fusable families get runtime rows");
-        for row in &perf {
-            assert!(!row.drift, "{}: VM diverged from the interpreter", row.id);
-        }
-        let json = transform_report_to_json("quick", &budget, &certs, &perf);
-        assert!(json.contains("\"schema\": \"retreet-bench-transform/v2\""));
-        assert!(json.contains("\"certificates\""));
-        assert!(json.contains("\"speedup\""));
-        assert!(json.contains("\"drift\""));
-        assert!(json.contains("\"E2\"") && json.contains("\"E4a\""));
-        let table = render_transform_report(&certs, &perf);
-        assert!(table.contains("E4a") && table.contains("speedup"));
-    }
-
-    #[test]
     fn tune_report_respects_the_baseline_guarantee_and_serializes() {
         let budget = Budget::quick();
         let verifier = budget.tune_verifier();
@@ -1926,6 +1554,8 @@ mod tests {
             assert_eq!(row.candidates, row.certified + row.refused, "{}", row.id);
             assert_eq!(row.winner_kind, "equivalence", "{}", row.id);
             assert!(!row.winner_engine.is_empty() && !row.winner_soundness.is_empty());
+            // The canonical fusion certified and was measured.
+            assert!(row.baseline_fused_seconds.is_some(), "{}", row.id);
             // Every certified candidate, parallel schedules included, is
             // certified unbounded.
             for candidate in row.table.iter().filter(|c| c.certified) {

@@ -34,6 +34,7 @@
 //! and incorrect constructions are refused with the counterexample.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::Range;
 
 use retreet_lang::ast::{
     AExpr, BExpr, Block, BlockKind, CallBlock, Func, NodeRef, Program, Stmt, StraightBlock, MAIN,
@@ -201,18 +202,16 @@ fn shape_of(func: &Func) -> Result<Shape, TransformError> {
 }
 
 /// The worklist-driven builder: tuple of function names → fused function.
-/// `pub(crate)` so the schedule autotuner ([`crate::tune`]) can drive the
-/// same construction over *partial* groupings of a pass run.
-pub(crate) struct FusionBuilder<'a> {
+struct FusionBuilder<'a> {
     program: &'a Program,
     used_names: HashSet<String>,
     tuple_names: HashMap<Vec<String>, String>,
     queue: VecDeque<Vec<String>>,
-    pub(crate) fused: Vec<Func>,
+    fused: Vec<Func>,
 }
 
 impl<'a> FusionBuilder<'a> {
-    pub(crate) fn new(program: &'a Program) -> Self {
+    fn new(program: &'a Program) -> Self {
         FusionBuilder {
             program,
             used_names: program.funcs.iter().map(|f| f.name.clone()).collect(),
@@ -224,7 +223,7 @@ impl<'a> FusionBuilder<'a> {
 
     /// The fused function's name for a tuple, enqueueing the tuple for
     /// construction on first sight.
-    pub(crate) fn fused_name_for(&mut self, tuple: &[String]) -> String {
+    fn fused_name_for(&mut self, tuple: &[String]) -> String {
         if let Some(name) = self.tuple_names.get(tuple) {
             return name.clone();
         }
@@ -237,7 +236,7 @@ impl<'a> FusionBuilder<'a> {
 
     /// Builds every queued tuple function (the queue grows as call-site
     /// tuples are discovered).
-    pub(crate) fn build_all(&mut self) -> Result<(), TransformError> {
+    fn build_all(&mut self) -> Result<(), TransformError> {
         while let Some(tuple) = self.queue.pop_front() {
             let name = self.tuple_names[&tuple].clone();
             let func = self.build_tuple_func(&tuple, name)?;
@@ -397,6 +396,72 @@ pub(crate) fn find_fusable_run(items: &[Stmt]) -> Result<(usize, Vec<CallBlock>)
     )
 }
 
+/// The pre-finalization pieces of one grouped program: the function list,
+/// the group call statements (so schedule variants can rearrange them) and
+/// the names of the freshly synthesized fused functions.
+pub(crate) struct GroupedRun {
+    pub(crate) funcs: Vec<Func>,
+    pub(crate) group_calls: Vec<CallBlock>,
+    pub(crate) synthesized: Vec<String>,
+}
+
+/// Builds the sequentially grouped program for one grouping of the run
+/// `run`, found at `items[start..]` of `Main`'s flattened body: fused
+/// functions for every multi-pass group, original calls for singletons,
+/// `Main` rewritten with one call per group.  The single whole-run group
+/// is the canonical fusion ([`fuse_main_passes`]); the schedule autotuner
+/// ([`crate::tune`]) builds every contiguous grouping the same way.
+pub(crate) fn build_grouping(
+    program: &Program,
+    items: &[Stmt],
+    start: usize,
+    run: &[CallBlock],
+    groups: &[Range<usize>],
+) -> Result<GroupedRun, TransformError> {
+    let mut builder = FusionBuilder::new(program);
+    let mut group_calls: Vec<CallBlock> = Vec::new();
+    for range in groups {
+        let calls = &run[range.clone()];
+        if calls.len() == 1 {
+            group_calls.push(calls[0].clone());
+            continue;
+        }
+        let tuple: Vec<String> = calls.iter().map(|c| c.callee.clone()).collect();
+        let callee = builder.fused_name_for(&tuple);
+        group_calls.push(CallBlock {
+            results: calls
+                .iter()
+                .flat_map(|c| c.results.iter().cloned())
+                .collect(),
+            callee,
+            target: calls[0].target,
+            args: calls.iter().flat_map(|c| c.args.iter().cloned()).collect(),
+        });
+    }
+    builder.build_all()?;
+    let mut funcs = std::mem::take(&mut builder.fused);
+    let synthesized: Vec<String> = funcs.iter().map(|f| f.name.clone()).collect();
+    funcs.extend(program.funcs.iter().filter(|f| f.name != MAIN).cloned());
+
+    let main = program.main().expect("validated programs have a Main");
+    let mut new_items: Vec<Stmt> = items[..start].to_vec();
+    new_items.extend(
+        group_calls
+            .iter()
+            .map(|call| Stmt::Block(Block::call(call.clone()))),
+    );
+    new_items.extend(items[start + run.len()..].iter().cloned());
+    funcs.push(Func {
+        body: rewrite::compose(new_items),
+        ..main.clone()
+    });
+    Ok(GroupedRun {
+        funcs,
+        group_calls,
+        synthesized,
+    })
+}
+
 /// Fuses the first run of two or more consecutive traversal calls in `Main`
 /// into a single fused traversal, and certifies the transformation with an
 /// equivalence verdict from `verifier`.
@@ -421,34 +486,11 @@ pub fn fuse_main_passes(
     let main = program.main().expect("validated programs have a Main");
     let items = rewrite::flatten_seq(&main.body);
     let (start, run) = find_fusable_run(&items)?;
-
-    let mut builder = FusionBuilder::new(program);
-    let tuple: Vec<String> = run.iter().map(|c| c.callee.clone()).collect();
-    let fused_entry = builder.fused_name_for(&tuple);
-    builder.build_all()?;
-
-    // Rewrite Main: the run becomes one call binding every original result.
-    let fused_call = CallBlock {
-        results: run.iter().flat_map(|c| c.results.iter().cloned()).collect(),
-        callee: fused_entry,
-        target: run[0].target,
-        args: run.iter().flat_map(|c| c.args.iter().cloned()).collect(),
-    };
-    let mut new_items: Vec<Stmt> = items[..start].to_vec();
-    new_items.push(Stmt::Block(Block::call(fused_call)));
-    new_items.extend(items[start + run.len()..].iter().cloned());
-    let new_main = Func {
-        body: rewrite::compose(new_items),
-        ..main.clone()
-    };
-
-    let mut funcs = std::mem::take(&mut builder.fused);
-    let synthesized: Vec<String> = funcs.iter().map(|f| f.name.clone()).collect();
-    funcs.extend(program.funcs.iter().filter(|f| f.name != MAIN).cloned());
-    funcs.push(new_main);
-    let transformed = finalize_program(program.with_funcs(funcs))?;
+    let whole_run = 0..run.len();
+    let grouped = build_grouping(program, &items, start, &run, &[whole_run])?;
+    let transformed = finalize_program(program.with_funcs(grouped.funcs))?;
     let mut certified = certify_fusion(verifier, program, &transformed)?;
-    certified.synthesized = synthesized;
+    certified.synthesized = grouped.synthesized;
     Ok(certified)
 }
 

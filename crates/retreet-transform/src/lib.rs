@@ -31,10 +31,10 @@
 //! On top of both families sits the **certified schedule autotuner**
 //! ([`fn@tune`]): it enumerates contiguous partial-fusion groupings of `Main`'s
 //! pass run crossed with the parallel schedule variants, certifies the whole
-//! space through one [`Verifier::verify_batch`] call, measures the survivors
-//! with a caller-supplied cost model (canonically `retreet_runtime`'s
-//! VM-backed `tune_and_compile`), and returns the cheapest certified
-//! schedule — never slower than the best baseline.
+//! space through two [`Verifier::verify_batch`] calls (race queries first),
+//! measures the survivors with a caller-supplied cost model (canonically
+//! `retreet_runtime`'s VM-backed `tune_and_compile`), and returns the
+//! cheapest certified schedule — never slower than the best baseline.
 //!
 //! # Example
 //!

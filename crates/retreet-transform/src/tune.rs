@@ -8,10 +8,12 @@
 //! [`fuse_main_passes`](crate::fuse_main_passes) emits the single canonical
 //! whole-run fusion and
 //! [`synthesize_parallel_main`](crate::synthesize_parallel_main) the single
-//! canonical parallel composition.  Neither is always the best schedule:
-//! the committed BENCH_codegen numbers show the fused cycletree pipeline
-//! *losing* to the unfused one on the VM, and the E3 whole-pass fusion wins
-//! only marginally.  Following Sakka et al.'s fine-grained-fusion insight,
+//! canonical parallel composition.  Neither is always the best schedule.
+//! In the committed BENCH_tune (VM-only timing, height-14 trees) the
+//! canonical fusion beats the original on all five families, from 1.03×
+//! (E5) to 1.50× (E3), but on E1 a partial schedule, the fusion with its
+//! sibling recursion parallelized, beats the canonical fusion.  Following
+//! Sakka et al.'s fine-grained-fusion insight,
 //! the tuner enumerates **contiguous partial-fusion groupings** of the
 //! fusable pass run — for a run of `k` passes, every one of the `2^(k-1)`
 //! compositions (`[A+B+C]`, `[A+B][C]`, `[A][B+C]`, `[A][B][C]`) — and, per
@@ -80,7 +82,7 @@ use retreet_lang::rewrite;
 use retreet_lang::validate::{program_has_parallelism, validate};
 use retreet_verify::{Query, Verdict, Verifier};
 
-use crate::fusion::{find_fusable_run, FusionBuilder};
+use crate::fusion::{build_grouping, find_fusable_run, GroupedRun};
 use crate::schedule::parallelize_stmt;
 use crate::{
     certify_fusion, equivalence_certificate, finalize_program, race_certificate, unsupported,
@@ -314,79 +316,14 @@ fn grouping_label(grouping: &[Vec<String>], schedule: ScheduleKind) -> String {
     format!("{groups}/{schedule}")
 }
 
-/// The pre-finalization pieces of one grouped program: the function list,
-/// the group call statements (so schedule variants can rearrange them) and
-/// the names of the freshly synthesized fused functions.
-struct GroupedRun {
-    funcs: Vec<Func>,
-    group_calls: Vec<CallBlock>,
-    synthesized: Vec<String>,
-}
-
-/// Builds the sequentially grouped program for one grouping of the run:
-/// fused functions for every multi-pass group, original calls for
-/// singletons, `Main` rewritten with one call per group.
-fn build_grouping(
-    program: &Program,
-    items: &[Stmt],
-    start: usize,
-    run: &[CallBlock],
-    groups: &[Range<usize>],
-) -> Result<GroupedRun, TransformError> {
-    let mut builder = FusionBuilder::new(program);
-    let mut group_calls: Vec<CallBlock> = Vec::new();
-    for range in groups {
-        let calls = &run[range.clone()];
-        if calls.len() == 1 {
-            group_calls.push(calls[0].clone());
-            continue;
-        }
-        let tuple: Vec<String> = calls.iter().map(|c| c.callee.clone()).collect();
-        let callee = builder.fused_name_for(&tuple);
-        group_calls.push(CallBlock {
-            results: calls
-                .iter()
-                .flat_map(|c| c.results.iter().cloned())
-                .collect(),
-            callee,
-            target: calls[0].target,
-            args: calls.iter().flat_map(|c| c.args.iter().cloned()).collect(),
-        });
-    }
-    builder.build_all()?;
-    let mut funcs = std::mem::take(&mut builder.fused);
-    let synthesized: Vec<String> = funcs.iter().map(|f| f.name.clone()).collect();
-    funcs.extend(program.funcs.iter().filter(|f| f.name != MAIN).cloned());
-
-    let main = program.main().expect("validated programs have a Main");
-    let mut new_items: Vec<Stmt> = items[..start].to_vec();
-    new_items.extend(
-        group_calls
-            .iter()
-            .map(|call| Stmt::Block(Block::call(call.clone()))),
-    );
-    new_items.extend(items[start + run.len()..].iter().cloned());
-    funcs.push(Func {
-        body: rewrite::compose(new_items),
-        ..main.clone()
-    });
-    Ok(GroupedRun {
-        funcs,
-        group_calls,
-        synthesized,
-    })
-}
-
 /// Replaces the sequential group calls in `Main` with a single parallel
 /// composition of the same calls.
 fn par_passes_main(
-    program: &Program,
     items: &[Stmt],
     start: usize,
     run_len: usize,
     group_calls: &[CallBlock],
 ) -> Stmt {
-    let main = program.main().expect("validated programs have a Main");
     let mut new_items: Vec<Stmt> = items[..start].to_vec();
     new_items.push(Stmt::Par(
         group_calls
@@ -395,7 +332,6 @@ fn par_passes_main(
             .collect(),
     ));
     new_items.extend(items[start + run_len..].iter().cloned());
-    let _ = main;
     rewrite::compose(new_items)
 }
 
@@ -471,8 +407,7 @@ fn enumerate_candidates(
         if groups.len() >= 2 {
             let mut par_funcs = funcs.clone();
             let main_slot = par_funcs.len() - 1;
-            par_funcs[main_slot].body =
-                par_passes_main(program, &items, start, run.len(), &group_calls);
+            par_funcs[main_slot].body = par_passes_main(&items, start, run.len(), &group_calls);
             variants.push((
                 ScheduleKind::ParallelPasses,
                 finalize_program(program.with_funcs(par_funcs)),
@@ -949,6 +884,42 @@ mod tests {
             .find(|c| c.schedule == ScheduleKind::ParallelRecursion)
             .expect("sibling recursion parallelizes");
         assert!(program_has_parallelism(&par_rec.program));
+    }
+
+    #[test]
+    fn the_first_candidate_is_the_canonical_fusion() {
+        // `fuse_main_passes` and the tuner's whole-run sequential candidate
+        // are one construction: `bench_tune` reports that candidate's cost
+        // as the canonical-fusion baseline.
+        for program in [
+            corpus::size_counting_sequential(),
+            corpus::tree_mutation_original(),
+            corpus::css_minify_original(),
+            corpus::cycletree_original(),
+            corpus::kdtree_closest(),
+        ] {
+            let verifier = verifier();
+            let fused = crate::fuse_main_passes(&verifier, &program).expect("the family fuses");
+            let tuned = tune(&verifier, &program, &TuneOptions::quick(), &mut |_| Ok(1.0))
+                .expect("the family tunes");
+            let first = &tuned.candidates[0];
+            assert_eq!(first.grouping.len(), 1, "{}", first.label);
+            assert_eq!(first.schedule, ScheduleKind::Sequential, "{}", first.label);
+            assert!(first.status.is_certified(), "{}", first.label);
+            assert_eq!(
+                first.program.as_ref(),
+                Some(&fused.transformed),
+                "{}",
+                first.label
+            );
+            assert_eq!(
+                first.source(),
+                fused.transformed_source(),
+                "{}",
+                first.label
+            );
+            assert_eq!(first.synthesized, fused.synthesized, "{}", first.label);
+        }
     }
 
     #[test]

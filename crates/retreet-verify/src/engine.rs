@@ -123,8 +123,9 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// The race-engine options this configuration induces (default
-    /// configuration-enumeration limits).
+    /// The race-engine options this configuration induces (the
+    /// configuration-enumeration caps are `retreet_analysis::configs`
+    /// constants).
     pub fn race_options(&self) -> RaceOptions {
         RaceOptions::builder()
             .max_nodes(self.race_nodes)

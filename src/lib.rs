@@ -76,7 +76,7 @@
 //! | hand-picking between the fused and the parallel schedule by guesswork | `retreet_runtime::tune_and_compile(&verifier, &p, &options)` — the VM-backed cost model: each certified candidate compiled once through `ProgramExecutor` (interpreter timings refused), probe-run differential-checked, best-of-batches measured on the VM alone (single runs on fresh clones of the candidate's flat tree; no flattening or write-back in the timer); returns the `TunedSchedule` *and* the executor it measured for the winner, ready to run |
 //! | hand-writing a parallel `Main` and checking `Query::DataRace` | `retreet_transform::synthesize_parallel_main(&verifier, &sequential)` (pass level) / `retreet_transform::parallelize_recursive_calls(&verifier, &p)` (sibling recursion) |
 //! | `retreet_css::analysis_model::verify_css_fusion(&EquivOptions)` *(removed)* | `retreet_css::analysis_model::verify_css_fusion_with(&verifier)` (verdict only) or `certify_css_fusion(&verifier)` (synthesized certified transform) |
-//! | mutating `RaceOptions` / `EquivOptions` / `EnumOptions` fields | `RaceOptions::builder()…build()` etc., or set the budget once on the `Verifier` builder |
+//! | mutating `RaceOptions` / `EquivOptions` / `EnumOptions` fields | `RaceOptions::builder()…build()` / `EquivOptions::builder()…build()`, or set the budget once on the `Verifier` builder (`EnumOptions` is gone: see its row) |
 //! | repeated `Solver::check(&growing_system)` along a search | [`retreet_logic::IncrementalSolver`]: `push()` / `assume_all(&new_atoms)` / `check()` / `pop()` over a shared [`retreet_logic::SolverCache`] — the SAT prefix is never re-solved and a cached-UNSAT prefix prunes the extension outright |
 //! | `Solver::check` on systems that repeat across a query | `Solver::check_cached(&system, &cache)` (component-decomposed memoization keyed by [`retreet_logic::intern`]-ed atom ids) |
 //! | per-query `BlockTable::build` + re-summarized paths | `retreet_analysis::AnalysisContext::new(&p)` — block table, field sets, lazy path summaries, solver cache and symbol table, built once per engine run and shared by all of its trees |
@@ -117,7 +117,7 @@
 //! | `VerifierBuilder::parallel(true)` / `ServeOptions::parallel` / `retreet-serve --parallel` | **removed**: every dispatch runs the applicable engines one after the other in authority order, the one path the default always took.  The parallel portfolio returned the same verdict and witness, only later (it started engines whose answers the authority order discarded); drop the call, the field or the flag.  `verify_batch` still fans a batch out over worker threads |
 //! | `Verdict::degraded` / `ServingStats::degraded` | **removed**: only the parallel portfolio produced degraded verdicts.  A deadline or `abort_inflight` now always resolves to `VerifyError::DeadlineExceeded` (counted in `ServingStats::deadline_hits`); the NDJSON wire keeps `"degraded":false` on verdict lines and `"degraded":0` in the stats line as constants |
 //! | `VerifierBuilder::check_dependence_order(bool)` | **removed**: the façade always enforces the Theorem 3 dependence-order condition (the default every caller used).  To compare observable behaviour only, call `retreet_analysis::equiv::check_equivalence` with `EquivOptions::builder().check_dependence_order(false)` |
-//! | `VerifierBuilder::enumeration(EnumOptions)` | **removed** (no caller): the race engines use `EnumOptions::default()`.  Custom limits go through `retreet_analysis::race::check_data_race` with `RaceOptions::builder().enumeration(…)` |
+//! | `VerifierBuilder::enumeration(EnumOptions)` | **removed** (no caller): the race engines enumerate under the fixed caps `retreet_analysis::configs::MAX_DEPTH` (64 frames) and `MAX_CONFIGURATIONS` (200,000 per tree); see the `EnumOptions` row |
 //! | `EngineConfig { …, check_dependence_order, enumeration }` | `EngineConfig { race_nodes, equiv_nodes, validity_nodes, valuations }`.  The config is hashed into every cache key, so a verdict store persisted by an older build misses once per query and is then rewritten; the record format is unchanged |
 //! | `rayon::spawn` (the in-tree shim) | **removed** (its only caller was the parallel portfolio): use `rayon::scope` + `Scope::spawn` |
 //! | `Engine::Trace` / `Soundness::BoundedUpTo` on the equivalence of a sequential program and its race-free parallel schedule (e.g. `ternary_sum_sequential` vs `ternary_sum_parallel`, the tuner's `par-passes` / `par-rec` candidates) | `Engine::Automata` / `Soundness::Unbounded` with `trees_checked() == 0`: a `Par` side that erases exactly and is structurally race-free is proved through its erasure (Theorem 2).  A racy `Par` side, a branch that returns or a local shared between branches still leaves the pair to `Engine::Trace` |
@@ -139,6 +139,8 @@
 //! | `ProgramExecutor::vm_runs()` / `interp_runs()` | **removed**: every `ExecOutcome` and `CompleteRun` says which tier ran it in `tier`; count those.  The executor now runs on the calling thread's pooled `Vm` instead of one `Vm` behind a mutex, so threads sharing an executor no longer wait for each other |
 //! | `TreeNode::new(v, l, r)` / `is_leaf()` / `map(f)` / `postorder()` / `render()` | **removed** (no caller): build with `TreeNode::leaf(v)` and set `left` / `right`; test `left.is_none() && right.is_none()`; `preorder()`, `len()` and `height()` remain |
 //! | `"code":"internal"` on a `run` request whose program faults (a nil dereference, a call-depth overflow) | `"code":"program_fault"`, with the same `error` text: the fault is the client program's, raised identically by the reference interpreter.  `internal` now means only a fault of the service itself |
+//! | `retreet_analysis::configs::EnumOptions` / `EnumOptionsBuilder`, `RaceOptions::enumeration` / `RaceOptionsBuilder::enumeration(…)`, and the options argument of `configs::enumerate` / `enumerate_shared` / `naive::enumerate` | **removed** (every caller passed `EnumOptions::default()`): the caps are the constants `configs::MAX_DEPTH` = 64 and `configs::MAX_CONFIGURATIONS` = 200,000.  Call `enumerate(&table, &tree)` and `enumerate_shared(&table, &summaries, &tree, &cache, &symtab)` |
+//! | the `bench_transform` binary, `BENCH_transform.json` and `retreet_bench::{certify_transforms, measure_transform_perf, render_transform_report, transform_report_to_json, TransformCertRow, TransformPerfRow}`; `CodegenPerfRow::{vm_fused_seconds, fused_speedup}` | **removed**: `bench_tune` certifies and times each family's canonical fusion (its first candidate, the program `fuse_main_passes` builds) on the VM alone, and fails when one is not certified or cannot be measured; `bench_codegen` times the original programs only |
 //! | `retreet_css::minify::{convert_values_visitor, minify_font_visitor, reduce_init_visitor}` | **removed**: the per-declaration passes `convert_values_decl` / `minify_font_decl` / `reduce_init_decl` remain, and `minify_unfused` / `minify_fused` run them as separate or fused traversals |
 //!
 //! # Benchmarks
@@ -150,14 +152,6 @@
 //! documented in `crates/README.md`).  CI's perf-smoke job runs the quick
 //! budget with a generous wall-clock ceiling to catch accidental
 //! exponential regressions.
-//!
-//! `cargo run --release -p retreet-bench --bin bench_transform` writes
-//! `BENCH_transform.json` (schema `retreet-bench-transform/v2`): every
-//! fusable §5 case synthesized and certified through the transform tier,
-//! plus fused-vs-sequential runtime on all five families — both sides
-//! compiled to the VM tier and differential-checked against the
-//! interpreter before timing.  CI runs it in quick mode and fails on
-//! certificate drift and on execution drift.
 //!
 //! `cargo run --release -p retreet-bench --bin bench_service` writes
 //! `BENCH_service.json` (schema `retreet-bench-service/v3`): warm-cache
@@ -172,25 +166,33 @@
 //! concurrency fails the run.
 //!
 //! `cargo run --release -p retreet-bench --bin bench_codegen` writes
-//! `BENCH_codegen.json` (schema `retreet-bench-codegen/v1`): every
+//! `BENCH_codegen.json` (schema `retreet-bench-codegen/v2`): every
 //! executable §5 workload compiled through the codegen tier and timed on
-//! the reference interpreter, the bytecode VM and the VM running the
-//! certified fusion, with one certificate line per iterative lowering
-//! (fresh-then-cached serving path, `cached` / `coalesced` flags reported
-//! honestly).  CI runs it in quick mode and fails on VM-vs-interpreter
-//! drift.
+//! the reference interpreter and on the bytecode VM, with one certificate
+//! line per iterative lowering (fresh-then-cached serving path, `cached` /
+//! `coalesced` flags reported honestly).  The VM seconds time the program
+//! alone: one `Vm::run_flat` per sample on a fresh clone of the workload's
+//! flat tree, with flattening and write-back outside the timer (v1 timed
+//! both, and a VM run of the certified fusion besides).  CI runs it in
+//! quick mode and fails on VM-vs-interpreter drift and on a recompile
+//! certificate not served from the verdict cache.
 //!
 //! `cargo run --release -p retreet-bench --bin bench_tune` writes
 //! `BENCH_tune.json` (schema `retreet-bench-tune/v2`): the certified
-//! schedule autotuner run on all five §5 families (E1, E2, E3, E4a,
-//! E5) — the full scored
-//! candidate table (certified schedules with measured VM seconds and
-//! their certificates' engine and soundness, refusals with their
-//! witnesses), both baselines, and the winner with its certificate
-//! provenance.  CI runs it in quick mode and fails on drift, on a tuned
-//! cost above best-of{original, canonical fusion}, on a winner without
-//! certificate provenance, and on a certified candidate whose
-//! equivalence or race-freedom certificate is weaker than unbounded.
+//! schedule autotuner run on all five §5 families (E1, E2, E3, E4a, E5) —
+//! the full scored candidate table (certified schedules with measured VM
+//! seconds and their certificates' engine and soundness, refusals with
+//! their witnesses), both baselines, and the winner with its certificate
+//! provenance.  It is the one bench that times a fusion: each family's
+//! canonical fusion is its first candidate, the program
+//! [`retreet_transform::fuse_main_passes`] builds.  CI runs it in quick
+//! mode and fails on drift, on a family whose canonical fusion is not
+//! certified or cannot be measured, on a tuned cost above
+//! best-of{original, canonical fusion}, on a winner without certificate
+//! provenance, on a certified candidate whose equivalence or race-freedom
+//! certificate is weaker than unbounded, and on a race-refused candidate
+//! whose equivalence verdict is in the verifier's cache (the tuner asks
+//! race queries first).
 //!
 //! Old verdict shapes map to [`retreet_verify::Outcome`] variants: race
 //! witnesses, equivalence counterexamples and falsifying trees ride along

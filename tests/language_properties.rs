@@ -2,7 +2,7 @@
 //! relations of Fig. 11, and the interpreter's agreement with the
 //! configuration abstraction.
 
-use retreet_analysis::configs::{enumerate, EnumOptions};
+use retreet_analysis::configs::enumerate;
 use retreet_analysis::interp;
 use retreet_analysis::race::program_fields;
 use retreet_analysis::vtree::{test_trees, ValueTree};
@@ -52,7 +52,7 @@ fn every_executed_iteration_is_covered_by_some_configuration() {
         let field_refs: Vec<&str> = fields.iter().map(String::as_str).collect();
         for tree in test_trees(3, &field_refs, 1) {
             let run = interp::run_with_table(&table, &tree).expect("run succeeds");
-            let configs = enumerate(&table, &tree, &EnumOptions::default());
+            let configs = enumerate(&table, &tree);
             for iteration in &run.trace.iterations {
                 if table.info(iteration.block).is_call() {
                     continue; // configurations end at non-call blocks
