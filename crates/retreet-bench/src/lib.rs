@@ -1233,7 +1233,7 @@ pub fn measure_codegen_perf(
 ) -> (Vec<CodegenPerfRow>, Vec<CodegenCertRow>) {
     use retreet_analysis::interp;
     use retreet_analysis::vtree::ValueTree;
-    use retreet_codegen::{compile_with_lowering, trees_agree, FlatTree, Vm};
+    use retreet_codegen::{compile_with_lowering, trees_agree, FlatTree, Vm, VmError};
     use retreet_lang::blocks::BlockTable;
 
     let mut rows = Vec::new();
@@ -1284,7 +1284,7 @@ pub fn measure_codegen_perf(
             vm.run(&compiled, &tree),
         ) {
             (Ok(exp), Ok(act)) => exp.returns != act.returns || !trees_agree(&exp.tree, &act.tree),
-            (Err(_), Err(_)) => false,
+            (Err(exp), Err(act)) => VmError::from_interp(&exp) != Some(act),
             _ => true,
         };
 

@@ -2,12 +2,14 @@
 //!
 //! Each function compiles to a flat instruction vector over a zero-initialized
 //! register file (one `i64` window per activation).  Field names are resolved
-//! to column ids at compile time, node references to a three-way selector
-//! against the activation's node index, and structured control flow
-//! (`if`/`seq`/`par` and early returns) to conditional jumps — including the
-//! interpreter's exact `Par` semantics (branches run in syntactic order, the
-//! *last* returning branch wins, and the pending return propagates only after
-//! every branch has run).
+//! to column ids at compile time, node references to a selector against the
+//! activation's node index, and structured control flow (`if`/`seq`/`par`
+//! and early returns) to conditional jumps past each then-branch, which
+//! falls through — including the interpreter's exact `Par` semantics
+//! (branches run in syntactic order, the *last* returning branch wins, and
+//! the pending return propagates only after every branch has run).  A frame function
+//! that opens with the paper's nil guard records the guard's constants, so a
+//! call on the nil node is answered at the call site without a frame.
 
 use retreet_lang::ast::{ChildAxis, Ident};
 
@@ -103,8 +105,23 @@ pub enum Instr {
         /// Target instruction index.
         target: u32,
     },
+    /// Jump when the selector resolves to a node (the negation of
+    /// [`Instr::JumpIfNil`]).
+    JumpIfNotNil {
+        /// Addressed node.
+        node: NodeSel,
+        /// Target instruction index.
+        target: u32,
+    },
     /// Jump when `src > 0` (the `Gt` guard of the language).
     JumpIfPos {
+        /// Tested register.
+        src: u16,
+        /// Target instruction index.
+        target: u32,
+    },
+    /// Jump when `src <= 0`.
+    JumpIfNotPos {
         /// Tested register.
         src: u16,
         /// Target instruction index.
@@ -114,7 +131,9 @@ pub enum Instr {
     /// registers `args_start .. args_start + num_args`; on return, the
     /// callee's values are scattered into the listed result registers
     /// (zip semantics: extra result registers keep their old values, like
-    /// the interpreter binding fewer returns than result variables).
+    /// the interpreter binding fewer returns than result variables).  A call
+    /// on the nil node of a function with [`FrameFunc::nil_returns`] scatters
+    /// those constants the same way and pushes no frame.
     Call {
         /// Callee function index.
         func: u16,
@@ -127,7 +146,8 @@ pub enum Instr {
         /// Result registers, in binding order.
         results: Box<[u16]>,
     },
-    /// Return the contiguous registers `start .. start + count`.
+    /// Return the contiguous registers `start .. start + count`, copied
+    /// straight into the caller's result registers.
     Ret {
         /// First returned register.
         start: u16,
@@ -151,8 +171,13 @@ pub struct FrameFunc {
     /// parameter names share a register, so the last binding wins exactly
     /// like the interpreter's environment).
     pub param_regs: Box<[u16]>,
-    /// Declared number of returned values.
-    pub num_returns: u16,
+    /// The constants of a leading `if (nil(n)) { return c…; }` guard that
+    /// assigns nothing: a call on the nil node returns them without running
+    /// the function.
+    pub nil_returns: Option<Box<[i64]>>,
+    /// Where an activation on a non-nil node starts: the pc past the nil
+    /// guard, or 0 without one.
+    pub body_pc: u32,
 }
 
 /// A self-recursive traversal lowered to an explicit-worklist loop: the
@@ -179,18 +204,6 @@ pub struct IterativeFunc {
     pub returns: Vec<i64>,
     /// Scratch registers the segments use.
     pub num_regs: u16,
-}
-
-impl IterativeFunc {
-    /// Entry pc of the segment run before the first child's subtree.
-    pub fn pre(&self) -> u32 {
-        self.segments[0]
-    }
-
-    /// Entry pc of the segment run after the last child's subtree.
-    pub fn post(&self) -> u32 {
-        *self.segments.last().expect("at least a post segment")
-    }
 }
 
 /// How a function executes.

@@ -3,18 +3,24 @@
 //! The compiler resolves every name at compile time: variables to registers
 //! (one window per activation, zero-initialized, so an unassigned variable
 //! reads 0 exactly like the interpreter's environment), fields to column
-//! ids, callees to function indices.  Structured control flow becomes
-//! jump-threaded conditionals — `&&` short-circuits exactly like the
-//! interpreter's guard evaluation — and the interpreter's `Par` return
-//! discipline (run every branch, last return wins, propagate afterwards)
-//! compiles to a per-activation pending-return window plus one flag
-//! register per `Par`.  The flags must be distinct: with a shared flag, a
-//! return in an earlier sibling branch of an outer `Par` would satisfy the
-//! post-branch check of a nested `Par` in a *later* sibling branch and make
-//! it skip the rest of that branch — a return the nested `Par`'s own
-//! branches never issued.  Returns propagate outward explicitly instead: a
-//! nested `Par` whose own flag is raised sets the enclosing `Par`'s flag
-//! before ending the enclosing branch.
+//! ids, callees to function indices.  Values are evaluated straight into
+//! their destination: the assigned variable, the return window, the
+//! argument registers.  Structured control flow becomes conditional jumps
+//! past the then-branch, which falls through — `&&` short-circuits exactly
+//! like the interpreter's guard evaluation, and no jump targets the next
+//! instruction.  A function whose leading statement is the nil guard
+//! `if (nil(n)) { return c…; }` (constants only, no assignment) records the
+//! constants and the pc past the guard, so the VM answers a call on nil
+//! without a frame and starts any other call past the test.  The
+//! interpreter's `Par` return discipline (run every branch, last return
+//! wins, propagate afterwards) compiles to a per-activation pending-return
+//! window plus one flag register per `Par`.  The flags must be distinct:
+//! with a shared flag, a return in an earlier sibling branch of an outer
+//! `Par` would satisfy the post-branch check of a nested `Par` in a *later*
+//! sibling branch and make it skip the rest of that branch — a return the
+//! nested `Par`'s own branches never issued.  Returns propagate outward
+//! explicitly instead: a nested `Par` whose own flag is raised sets the
+//! enclosing `Par`'s flag before ending the enclosing branch.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -26,7 +32,7 @@ use retreet_lang::ast::{
 use retreet_lang::rewrite::local_names;
 
 use crate::bytecode::{CompiledProgram, FrameFunc, FuncCode, Instr, IterativeFunc, NodeSel};
-use crate::lower::{IterativeLowering, LoweringCertificate};
+use crate::lower::{nil_guard, IterativeLowering, LoweringCertificate};
 
 /// Why a program could not be compiled.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -218,7 +224,6 @@ struct FuncCompiler<'a> {
     /// pending-return window and `temp_base`, one register per `Par`).
     next_par_flag: u16,
     pend_ret_label: Option<usize>,
-    num_returns: u16,
 }
 
 impl<'a> FuncCompiler<'a> {
@@ -231,8 +236,20 @@ impl<'a> FuncCompiler<'a> {
         self.labels.len() - 1
     }
 
+    /// Binds `label` to the next instruction.  A `Jump` to `label` just
+    /// emitted would jump to the next instruction, so it is dropped, and
+    /// the labels bound to its pc move back with it.
     fn bind(&mut self, label: usize) {
-        self.labels[label] = self.code.len() as u32;
+        let mut pc = self.code.len() as u32;
+        while matches!(self.code.last(), Some(Instr::Jump { target }) if *target as usize == label)
+        {
+            self.code.pop();
+            for bound in self.labels.iter_mut().filter(|bound| **bound == pc) {
+                *bound = pc - 1;
+            }
+            pc -= 1;
+        }
+        self.labels[label] = pc;
     }
 
     fn temp(&mut self) -> Result<u16, CompileError> {
@@ -269,83 +286,99 @@ impl<'a> FuncCompiler<'a> {
         }
     }
 
-    /// Evaluates an arithmetic expression, returning the register holding
-    /// its value (a named register for plain variable reads, a fresh
-    /// temporary otherwise).  Subexpressions evaluate left-to-right, like
-    /// the interpreter.
-    fn aexpr(&mut self, expr: &'a AExpr) -> Result<u16, CompileError> {
-        match expr {
-            AExpr::Const(value) => {
-                let dst = self.temp()?;
-                self.emit(Instr::Const { dst, value: *value });
-                Ok(dst)
-            }
-            AExpr::Var(var) => Ok(self.named(var)),
-            AExpr::Field(node, field) => {
-                let dst = self.temp()?;
-                self.emit(Instr::Load {
-                    dst,
-                    node: Self::sel(*node),
-                    field: self.field(field),
-                });
-                Ok(dst)
-            }
-            AExpr::Add(a, b) => {
-                let ra = self.aexpr(a)?;
-                let rb = self.aexpr(b)?;
-                let dst = self.temp()?;
-                self.emit(Instr::Add { dst, a: ra, b: rb });
-                Ok(dst)
-            }
-            AExpr::Sub(a, b) => {
-                let ra = self.aexpr(a)?;
-                let rb = self.aexpr(b)?;
-                let dst = self.temp()?;
-                self.emit(Instr::Sub { dst, a: ra, b: rb });
-                Ok(dst)
-            }
+    /// Evaluates an arithmetic expression as an operand, returning the
+    /// register holding its value: the named register for a plain variable
+    /// read, a fresh temporary otherwise.
+    fn operand(&mut self, expr: &'a AExpr) -> Result<u16, CompileError> {
+        if let AExpr::Var(var) = expr {
+            return Ok(self.named(var));
         }
+        let dst = self.temp()?;
+        self.aexpr(expr, dst)?;
+        Ok(dst)
     }
 
-    /// Jump-threaded condition: control reaches `if_true` when the
-    /// condition holds, `if_false` otherwise.  `And` short-circuits (its
-    /// right conjunct is not evaluated when the left is false), mirroring
-    /// the interpreter's `&&`.
-    fn cond(
-        &mut self,
-        cond: &'a BExpr,
-        if_true: usize,
-        if_false: usize,
-    ) -> Result<(), CompileError> {
-        match cond {
-            BExpr::True => self.emit(Instr::Jump {
-                target: if_true as u32,
+    /// Evaluates an arithmetic expression straight into `dst`.  Operands
+    /// evaluate left-to-right, like the interpreter, into temporaries; only
+    /// the last instruction writes `dst`, so `dst` may be one of the
+    /// variables the expression reads.
+    fn aexpr(&mut self, expr: &'a AExpr, dst: u16) -> Result<(), CompileError> {
+        match expr {
+            AExpr::Const(value) => self.emit(Instr::Const { dst, value: *value }),
+            AExpr::Var(var) => {
+                let src = self.named(var);
+                if src != dst {
+                    self.emit(Instr::Copy { dst, src });
+                }
+            }
+            AExpr::Field(node, field) => self.emit(Instr::Load {
+                dst,
+                node: Self::sel(*node),
+                field: self.field(field),
             }),
+            AExpr::Add(a, b) => {
+                let a = self.operand(a)?;
+                let b = self.operand(b)?;
+                self.emit(Instr::Add { dst, a, b });
+            }
+            AExpr::Sub(a, b) => {
+                let a = self.operand(a)?;
+                let b = self.operand(b)?;
+                self.emit(Instr::Sub { dst, a, b });
+            }
+        }
+        Ok(())
+    }
+
+    /// Jumps to `target` when the condition evaluates to `sense` and falls
+    /// through otherwise.  `And` short-circuits (its right conjunct is not
+    /// evaluated when the left is false), mirroring the interpreter's `&&`.
+    fn jump_if(&mut self, cond: &'a BExpr, sense: bool, target: usize) -> Result<(), CompileError> {
+        let target_pc = target as u32;
+        match cond {
+            BExpr::True => {
+                if sense {
+                    self.emit(Instr::Jump { target: target_pc });
+                }
+            }
             BExpr::IsNil(node) => {
-                self.emit(Instr::JumpIfNil {
-                    node: Self::sel(*node),
-                    target: if_true as u32,
-                });
-                self.emit(Instr::Jump {
-                    target: if_false as u32,
+                let node = Self::sel(*node);
+                self.emit(if sense {
+                    Instr::JumpIfNil {
+                        node,
+                        target: target_pc,
+                    }
+                } else {
+                    Instr::JumpIfNotNil {
+                        node,
+                        target: target_pc,
+                    }
                 });
             }
             BExpr::Gt(expr) => {
-                let src = self.aexpr(expr)?;
-                self.emit(Instr::JumpIfPos {
-                    src,
-                    target: if_true as u32,
-                });
-                self.emit(Instr::Jump {
-                    target: if_false as u32,
+                let src = self.operand(expr)?;
+                self.emit(if sense {
+                    Instr::JumpIfPos {
+                        src,
+                        target: target_pc,
+                    }
+                } else {
+                    Instr::JumpIfNotPos {
+                        src,
+                        target: target_pc,
+                    }
                 });
             }
-            BExpr::Not(inner) => self.cond(inner, if_false, if_true)?,
+            BExpr::Not(inner) => self.jump_if(inner, !sense, target)?,
+            BExpr::And(a, b) if sense => {
+                let skip = self.new_label();
+                self.jump_if(a, false, skip)?;
+                self.jump_if(b, true, target)?;
+                self.bind(skip);
+            }
             BExpr::And(a, b) => {
-                let mid = self.new_label();
-                self.cond(a, mid, if_false)?;
-                self.bind(mid);
-                self.cond(b, if_true, if_false)?;
+                self.jump_if(a, false, target)?;
+                self.jump_if(b, false, target)?;
             }
         }
         Ok(())
@@ -357,14 +390,11 @@ impl<'a> FuncCompiler<'a> {
             self.temp_next = mark;
             match assign {
                 Assign::SetVar(var, value) => {
-                    let src = self.aexpr(value)?;
                     let dst = self.named(var);
-                    if src != dst {
-                        self.emit(Instr::Copy { dst, src });
-                    }
+                    self.aexpr(value, dst)?;
                 }
                 Assign::SetField(node, field, value) => {
-                    let src = self.aexpr(value)?;
+                    let src = self.operand(value)?;
                     self.emit(Instr::Store {
                         node: Self::sel(*node),
                         field: self.field(field),
@@ -382,15 +412,7 @@ impl<'a> FuncCompiler<'a> {
                     for _ in ret {
                         self.temp()?;
                     }
-                    let scratch = self.temp_next;
-                    for (i, expr) in ret.iter().enumerate() {
-                        self.temp_next = scratch;
-                        let src = self.aexpr(expr)?;
-                        self.emit(Instr::Copy {
-                            dst: start + i as u16,
-                            src,
-                        });
-                    }
+                    self.values_into(ret, start)?;
                     self.emit(Instr::Ret {
                         start,
                         count: ret.len() as u16,
@@ -400,15 +422,7 @@ impl<'a> FuncCompiler<'a> {
                     let pend_start = self
                         .pend
                         .expect("pending window allocated for functions with Par");
-                    let scratch = self.temp_next;
-                    for (i, expr) in ret.iter().enumerate() {
-                        self.temp_next = scratch;
-                        let src = self.aexpr(expr)?;
-                        self.emit(Instr::Copy {
-                            dst: pend_start + i as u16,
-                            src,
-                        });
-                    }
+                    self.values_into(ret, pend_start)?;
                     self.emit(Instr::Const {
                         dst: flag,
                         value: 1,
@@ -420,6 +434,17 @@ impl<'a> FuncCompiler<'a> {
             }
         }
         self.temp_next = mark;
+        Ok(())
+    }
+
+    /// Evaluates `values` into the contiguous registers from `start`, each
+    /// with scratch temporaries past the current ones.
+    fn values_into(&mut self, values: &'a [AExpr], start: u16) -> Result<(), CompileError> {
+        let scratch = self.temp_next;
+        for (i, value) in values.iter().enumerate() {
+            self.temp_next = scratch;
+            self.aexpr(value, start + i as u16)?;
+        }
         Ok(())
     }
 
@@ -437,15 +462,7 @@ impl<'a> FuncCompiler<'a> {
         for _ in &call.args {
             self.temp()?;
         }
-        let scratch = self.temp_next;
-        for (i, arg) in call.args.iter().enumerate() {
-            self.temp_next = scratch;
-            let src = self.aexpr(arg)?;
-            self.emit(Instr::Copy {
-                dst: args_start + i as u16,
-                src,
-            });
-        }
+        self.values_into(&call.args, args_start)?;
         let results: Box<[u16]> = call.results.iter().map(|r| self.named(r)).collect();
         self.emit(Instr::Call {
             func,
@@ -465,11 +482,9 @@ impl<'a> FuncCompiler<'a> {
                 BlockKind::Straight(straight) => self.straight(straight, ctx),
             },
             Stmt::If(cond, then_branch, else_branch) => {
-                let l_then = self.new_label();
                 let l_else = self.new_label();
                 let l_end = self.new_label();
-                self.cond(cond, l_then, l_else)?;
-                self.bind(l_then);
+                self.jump_if(cond, false, l_else)?;
                 self.stmt(then_branch, ctx)?;
                 self.emit(Instr::Jump {
                     target: l_end as u32,
@@ -525,16 +540,11 @@ impl<'a> FuncCompiler<'a> {
                         branch_end,
                         flag: outer_flag,
                     } => {
-                        let l_propagate = self.new_label();
                         let l_done = self.new_label();
-                        self.emit(Instr::JumpIfPos {
+                        self.emit(Instr::JumpIfNotPos {
                             src: flag,
-                            target: l_propagate as u32,
-                        });
-                        self.emit(Instr::Jump {
                             target: l_done as u32,
                         });
-                        self.bind(l_propagate);
                         self.emit(Instr::Const {
                             dst: outer_flag,
                             value: 1,
@@ -556,7 +566,9 @@ impl<'a> FuncCompiler<'a> {
             let target = match instr {
                 Instr::Jump { target }
                 | Instr::JumpIfNil { target, .. }
-                | Instr::JumpIfPos { target, .. } => target,
+                | Instr::JumpIfNotNil { target, .. }
+                | Instr::JumpIfPos { target, .. }
+                | Instr::JumpIfNotPos { target, .. } => target,
                 _ => continue,
             };
             let pc = self.labels[*target as usize];
@@ -614,7 +626,6 @@ fn compile_frame_func(
         pend,
         next_par_flag: flag_base,
         pend_ret_label: None,
-        num_returns,
     };
     if num_pars > 0 {
         compiler.pend_ret_label = Some(compiler.new_label());
@@ -628,16 +639,29 @@ fn compile_frame_func(
         let pend_start = compiler.pend.expect("pend window");
         compiler.emit(Instr::Ret {
             start: pend_start,
-            count: compiler.num_returns,
+            count: num_returns,
         });
     }
     compiler.resolve();
     let param_regs: Box<[u16]> = func.int_params.iter().map(|p| compiler.named(p)).collect();
+    // The guard compiles first, to `JumpIfNotNil n, <past the guard>`.
+    let nil_returns = nil_guard(&func.body);
+    let body_pc = match (&nil_returns, compiler.code.first()) {
+        (
+            Some(_),
+            Some(Instr::JumpIfNotNil {
+                node: NodeSel::Cur,
+                target,
+            }),
+        ) => *target,
+        _ => 0,
+    };
     Ok(FrameFunc {
         code: compiler.code,
         num_regs: compiler.max_regs,
         param_regs,
-        num_returns,
+        nil_returns: nil_returns.map(Vec::into_boxed_slice),
+        body_pc,
     })
 }
 
@@ -660,7 +684,6 @@ fn compile_iterative(
         pend: None,
         next_par_flag: 0,
         pend_ret_label: None,
-        num_returns: lowering.returns.len() as u16,
     };
     let mut segments = Vec::with_capacity(lowering.segments.len());
     for stmts in &lowering.segments {

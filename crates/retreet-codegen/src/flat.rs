@@ -24,12 +24,6 @@ pub struct FlatTree {
 }
 
 impl FlatTree {
-    /// Builds the binary flat view of `tree` (axes `l`/`r` only); see
-    /// [`FlatTree::from_value_tree_kary`] for higher arities.
-    pub fn from_value_tree(tree: &ValueTree, fields: &[String]) -> Self {
-        FlatTree::from_value_tree_kary(tree, fields, 2)
-    }
-
     /// Builds the flat view of `tree` with `arity` child columns and one
     /// field column per name in `fields` (column order is the caller's
     /// field-id assignment).  Unset fields read as 0, exactly like
@@ -121,18 +115,6 @@ impl FlatTree {
         self.children[axis][node as usize]
     }
 
-    /// Left child of `node` ([`NIL`] when absent) — axis 0.
-    #[inline]
-    pub fn left(&self, node: u32) -> u32 {
-        self.children[0][node as usize]
-    }
-
-    /// Right child of `node` ([`NIL`] when absent) — axis 1.
-    #[inline]
-    pub fn right(&self, node: u32) -> u32 {
-        self.children[1][node as usize]
-    }
-
     /// Reads column `field` of `node`.
     #[inline]
     pub fn get(&self, field: u16, node: u32) -> i64 {
@@ -204,10 +186,10 @@ mod tests {
         tree.set_field(root, "v", 7);
         tree.set_field(l, "v", -3);
         let fields = vec!["v".to_string(), "w".to_string()];
-        let mut flat = FlatTree::from_value_tree(&tree, &fields);
+        let mut flat = FlatTree::from_value_tree_kary(&tree, &fields, 2);
         assert_eq!(flat.len(), 2);
-        assert_eq!(flat.left(0), 1);
-        assert_eq!(flat.right(0), NIL);
+        assert_eq!(flat.child(0, 0), 1);
+        assert_eq!(flat.child(0, 1), NIL);
         assert_eq!(flat.get(0, 0), 7);
         assert_eq!(flat.get(1, 1), 0, "unset fields read 0");
         flat.set(1, 0, 42);

@@ -111,10 +111,10 @@ pub fn lower_function(func: &Func) -> Option<IterativeLowering> {
     }
     // Body must be exactly `if (nil(n)) { return consts } else { … }`.
     let items = flatten_seq(&func.body);
-    let [Stmt::If(BExpr::IsNil(NodeRef::Cur), then_branch, else_branch)] = items.as_slice() else {
+    let [guard @ Stmt::If(_, _, else_branch)] = items.as_slice() else {
         return None;
     };
-    let nil_returns = const_return(then_branch)?;
+    let nil_returns = nil_guard(guard)?;
     if nil_returns.len() != func.num_returns {
         return None;
     }
@@ -266,6 +266,18 @@ pub fn certify_lowering(
             verdict: Box::new(verdict),
         }),
         Err(err) => Err(LoweringError::Verify(err)),
+    }
+}
+
+/// `Some(consts)` when the first statement `stmt` runs (looking through
+/// leading `Seq`s) is the nil guard `if (nil(n)) { return c₁, …, cₖ; }`
+/// whose then-branch returns constants and assigns nothing (the
+/// else-branch is free).
+pub(crate) fn nil_guard(stmt: &Stmt) -> Option<Vec<i64>> {
+    match stmt {
+        Stmt::Seq(items) => nil_guard(items.first()?),
+        Stmt::If(BExpr::IsNil(NodeRef::Cur), then_branch, _) => const_return(then_branch),
+        _ => None,
     }
 }
 

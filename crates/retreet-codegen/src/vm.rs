@@ -2,9 +2,15 @@
 //!
 //! Activations are pooled `Frame` records over one shared register arena —
 //! no per-call `HashMap` environment, no `String` field lookups, no trace
-//! recording.  Certified iterative lowerings bypass frames entirely: the VM
-//! drains an explicit `(node, phase)` worklist, running the lowered
-//! function's three straight-line segments around each subtree.
+//! recording.  A call on the nil node of a function that opens with the
+//! paper's nil guard `if (nil(n)) { return c…; }` pushes no frame: after the
+//! depth check, the guard's constants go straight into the caller's result
+//! registers.  A call on a node starts past the guard, and `Ret` copies the
+//! returned registers straight into the caller's result registers.
+//! Certified iterative lowerings bypass frames entirely: the VM drains an
+//! explicit `(node, phase)` worklist, running the lowered function's
+//! straight-line segments around each subtree and skipping the empty ones
+//! (the pre and mid segments of a post-order traversal).
 //!
 //! Semantics match [`retreet_analysis::interp`] instruction-for-instruction:
 //! wrapping `i64` arithmetic, unset variables reading 0, child selectors of
@@ -19,6 +25,7 @@
 
 use std::fmt;
 
+use retreet_analysis::interp::InterpError;
 use retreet_analysis::vtree::ValueTree;
 use retreet_lang::ast::ChildAxis;
 
@@ -53,6 +60,19 @@ impl fmt::Display for VmError {
 
 impl std::error::Error for VmError {}
 
+impl VmError {
+    /// The VM error of the same class as the interpreter's `err`, the one a
+    /// differential run must see.  `None` for the failures the VM tier
+    /// reports at compile time instead (no `Main`, an unknown callee).
+    pub fn from_interp(err: &InterpError) -> Option<VmError> {
+        match err {
+            InterpError::NilDereference { .. } => Some(VmError::NilDereference),
+            InterpError::DepthExceeded => Some(VmError::DepthExceeded),
+            InterpError::NoMain | InterpError::UnknownFunction(_) => None,
+        }
+    }
+}
+
 /// The outcome of a run: `Main`'s return values and the post-run tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VmResult {
@@ -76,14 +96,13 @@ struct Frame {
 }
 
 /// A reusable virtual machine.  All working storage (register arena, frame
-/// stack, worklist, return buffer) is pooled and reused across runs, so a
-/// long-lived `Vm` allocates only while growing to its high-water mark.
+/// stack, worklist) is pooled and reused across runs, so a long-lived `Vm`
+/// allocates only while growing to its high-water mark.
 #[derive(Debug, Default)]
 pub struct Vm {
     regs: Vec<i64>,
     frames: Vec<Frame>,
     work: Vec<(u32, u8)>,
-    retbuf: Vec<i64>,
 }
 
 impl Vm {
@@ -178,8 +197,18 @@ impl Vm {
                             pc = *target as usize;
                         }
                     }
+                    Instr::JumpIfNotNil { node, target } => {
+                        if resolve(tree, frame.node, *node) != NIL {
+                            pc = *target as usize;
+                        }
+                    }
                     Instr::JumpIfPos { src, target } => {
                         if self.regs[base + *src as usize] > 0 {
+                            pc = *target as usize;
+                        }
+                    }
+                    Instr::JumpIfNotPos { src, target } => {
+                        if self.regs[base + *src as usize] <= 0 {
                             pc = *target as usize;
                         }
                     }
@@ -202,9 +231,23 @@ impl Vm {
                                 }
                             }
                             FuncCode::Frames(callee_func) => {
+                                // The interpreter counts the activation
+                                // before its nil guard runs.
                                 if self.frames.len() >= MAX_DEPTH {
                                     return Err(VmError::DepthExceeded);
                                 }
+                                let entry = if node != NIL {
+                                    callee_func.body_pc
+                                } else if let Some(values) = &callee_func.nil_returns {
+                                    // The guard's constants, scattered
+                                    // like `Ret` would (zip).
+                                    for (&reg, &value) in results.iter().zip(values.iter()) {
+                                        self.regs[base + reg as usize] = value;
+                                    }
+                                    continue;
+                                } else {
+                                    0
+                                };
                                 self.frames[fi].pc = pc as u32;
                                 let new_base = self.regs.len();
                                 self.regs
@@ -217,7 +260,7 @@ impl Vm {
                                 self.frames.push(Frame {
                                     func: *callee,
                                     node,
-                                    pc: 0,
+                                    pc: entry,
                                     base: new_base as u32,
                                 });
                                 continue 'dispatch;
@@ -225,14 +268,11 @@ impl Vm {
                         }
                     }
                     Instr::Ret { start, count } => {
-                        self.retbuf.clear();
-                        for i in 0..*count as usize {
-                            self.retbuf.push(self.regs[base + *start as usize + i]);
-                        }
-                        self.regs.truncate(base);
+                        let first = base + *start as usize;
+                        let values = first..first + *count as usize;
                         self.frames.pop();
                         let Some(caller) = self.frames.last().copied() else {
-                            return Ok(self.retbuf.clone());
+                            return Ok(self.regs[values].to_vec());
                         };
                         let FuncCode::Frames(caller_func) = &program.funcs[caller.func as usize]
                         else {
@@ -244,11 +284,13 @@ impl Vm {
                         else {
                             unreachable!("resume pc does not follow a call");
                         };
+                        // The caller's window lies below this one, so the
+                        // values copy straight across before it is freed.
                         let caller_base = caller.base as usize;
-                        let k = results.len().min(self.retbuf.len());
-                        for i in 0..k {
-                            self.regs[caller_base + results[i] as usize] = self.retbuf[i];
+                        for (&reg, src) in results.iter().zip(values) {
+                            self.regs[caller_base + reg as usize] = self.regs[src];
                         }
+                        self.regs.truncate(base);
                         continue 'dispatch;
                     }
                     Instr::EndSegment => unreachable!("EndSegment in frame code"),
@@ -300,27 +342,27 @@ impl Vm {
         while self.work.len() > work_base {
             let (node, phase) = self.work.pop().expect("non-empty worklist");
             let p = phase as usize;
-            if p >= num_calls {
-                self.segment(lowered, lowered.post() as usize, tree, node, base)?;
+            let pc = lowered.segments[p] as usize;
+            // A segment that is only its `EndSegment` (the pre and mid
+            // segments of a post-order traversal) is not dispatched.
+            if !matches!(lowered.code[pc], Instr::EndSegment) {
+                self.segment(lowered, pc, tree, node, base)?;
+            }
+            if p == num_calls {
                 continue;
             }
+            // The recursive original now calls into every child — nil
+            // ones included, whose activations the interpreter counts
+            // before the nil guard returns.  Those calls sit
+            // `frames + depth + 2` activations deep: the live frames,
+            // `node`'s depth below the traversal root (one worklist entry
+            // per ancestor), `node` and the child.  The interpreter refuses
+            // them past MAX_DEPTH, so must we, for outcome parity.
             if p == 0 {
-                // `node`'s path depth below the traversal root: one
-                // worklist entry per ancestor remains on the stack.
                 let depth = self.work.len() - work_base;
-                self.segment(lowered, lowered.segments[0] as usize, tree, node, base)?;
-                // The recursive original now calls into every child — nil
-                // ones included, whose activations the interpreter counts
-                // before the nil guard returns.  Those calls sit
-                // `frames + depth + 2` activations deep (live frames, the
-                // path from the traversal root, this node, the child), and
-                // the interpreter refuses them past MAX_DEPTH — so must we,
-                // for outcome parity.
                 if self.frames.len() + depth + 2 > MAX_DEPTH {
                     return Err(VmError::DepthExceeded);
                 }
-            } else {
-                self.segment(lowered, lowered.segments[p] as usize, tree, node, base)?;
             }
             self.work.push((node, phase + 1));
             let child = child_of(tree, node, lowered.axes[p]);
@@ -385,8 +427,18 @@ impl Vm {
                         pc = *target as usize;
                     }
                 }
+                Instr::JumpIfNotNil { node: sel, target } => {
+                    if resolve(tree, node, *sel) != NIL {
+                        pc = *target as usize;
+                    }
+                }
                 Instr::JumpIfPos { src, target } => {
                     if self.regs[base + *src as usize] > 0 {
+                        pc = *target as usize;
+                    }
+                }
+                Instr::JumpIfNotPos { src, target } => {
+                    if self.regs[base + *src as usize] <= 0 {
                         pc = *target as usize;
                     }
                 }
@@ -439,7 +491,11 @@ mod tests {
                     "trees differ"
                 );
             }
-            (Err(_), Err(_)) => {}
+            (Err(exp), Err(act)) => assert_eq!(
+                VmError::from_interp(&exp),
+                Some(act),
+                "error classes differ: interp={exp:?}"
+            ),
             (exp, act) => panic!("outcome mismatch: interp={exp:?} vm={act:?}"),
         }
     }
@@ -687,6 +743,34 @@ mod tests {
     }
 
     #[test]
+    fn frame_calls_keep_the_interpreter_depth_boundary() {
+        // Frame code only: every call on a nil child of a guarded function
+        // is answered at the call site, but only after the depth check, as
+        // the interpreter counts that activation before its guard runs.
+        // On a left chain of MAX_DEPTH - 2 nodes the deepest nil call is
+        // activation MAX_DEPTH (Main, one per node, the nil call); one node
+        // more exceeds the cap.
+        for (name, program) in [
+            (
+                "size counting",
+                retreet_lang::corpus::size_counting_sequential(),
+            ),
+            ("cycletree", retreet_lang::corpus::cycletree_original()),
+        ] {
+            let compiled = crate::compile::compile(&program).expect("compile");
+            let fits = Vm::new().run(&compiled, &left_chain(MAX_DEPTH - 2));
+            assert!(fits.is_ok(), "{name}: {fits:?}");
+            assert_eq!(
+                Vm::new()
+                    .run(&compiled, &left_chain(MAX_DEPTH - 1))
+                    .map(|result| result.returns),
+                Err(VmError::DepthExceeded),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
     #[ignore = "the reference interpreter's trace is quadratic in recursion \
                 depth (~3 GB and tens of seconds on MAX_DEPTH chains); run \
                 on demand to re-pin the boundary"]
@@ -722,6 +806,25 @@ mod tests {
             Vm::new().run(&compiled, &tree),
             Err(VmError::NilDereference)
         ));
+        check_against_interp(source, &tree);
+    }
+
+    #[test]
+    fn an_assignment_may_read_the_variable_it_assigns() {
+        // Values evaluate straight into the assigned variable's register:
+        // every operand must be read before that register is written.
+        let source = r#"
+            fn Main(n) {
+                x = 5;
+                x = 1 + x;
+                y = n.v - y;
+                y = (x + 1) + y;
+                z = x + x;
+                return x, y, z;
+            }
+        "#;
+        let mut tree = ValueTree::single();
+        tree.set_field(tree.root(), "v", 7);
         check_against_interp(source, &tree);
     }
 

@@ -105,7 +105,7 @@
 //! | `Dir::flip()` to realign a two-call fusion order | **removed** — the fusion builder aligns *k*-ary call orders to the first component's axis permutation directly; no two-element special case survives |
 //! | `NodeSel::{Cur, Left, Right}` in bytecode | `NodeSel::{Cur, Child(ChildAxis)}` — child selectors carry the axis |
 //! | `IterativeLowering { pre, mid, post, .. }` (three fixed segments) | `IterativeLowering { axes, call_results, segments, .. }` — `axes.len() + 1` straight-line segments, one per gap around the recursive calls, at any arity |
-//! | `FlatTree` with `left` / `right` index arrays | `FlatTree::from_value_tree_kary(&tree, &fields, arity)` — one `u32` child column per axis (`from_value_tree` remains the binary shorthand) |
+//! | `FlatTree` with `left` / `right` index arrays | `FlatTree::from_value_tree_kary(&tree, &fields, arity)` — one `u32` child column per axis (the binary shorthand `from_value_tree` is removed too; see its row) |
 //! | `retreet_mso::encode::check_overlap(&a, &b)` / `guards_equivalent(&a, &b)` | **removed**: `check_overlap_k(&a, &b, 2)` / `guards_equivalent_k(&a, &b, 2)`.  Every arity, binary included, is decided by the direct region case analysis and the propositional check over the `2^k` child-nil patterns; no region or guard question compiles an automaton any more |
 //! | `retreet_mso::encode::overlap_formula(&a, &b)` / `overlap_formula_k(&a, &b, arity)` | **removed** from the public API; the MSO formula builders live on only as the encoder's test oracle.  `retreet_mso::compile` / `is_valid` stay public for `Query::Validity` |
 //! | `OverlapVerdict::Overlap(Option<LabeledTree>)` | `OverlapVerdict::Overlap` — no example tree (it was an encoding-level shape, never a program witness) |
@@ -140,6 +140,11 @@
 //! | `TreeNode::new(v, l, r)` / `is_leaf()` / `map(f)` / `postorder()` / `render()` | **removed** (no caller): build with `TreeNode::leaf(v)` and set `left` / `right`; test `left.is_none() && right.is_none()`; `preorder()`, `len()` and `height()` remain |
 //! | `"code":"internal"` on a `run` request whose program faults (a nil dereference, a call-depth overflow) | `"code":"program_fault"`, with the same `error` text: the fault is the client program's, raised identically by the reference interpreter.  `internal` now means only a fault of the service itself |
 //! | `retreet_analysis::configs::EnumOptions` / `EnumOptionsBuilder`, `RaceOptions::enumeration` / `RaceOptionsBuilder::enumeration(…)`, and the options argument of `configs::enumerate` / `enumerate_shared` / `naive::enumerate` | **removed** (every caller passed `EnumOptions::default()`): the caps are the constants `configs::MAX_DEPTH` = 64 and `configs::MAX_CONFIGURATIONS` = 200,000.  Call `enumerate(&table, &tree)` and `enumerate_shared(&table, &summaries, &tree, &cache, &symtab)` |
+//! | `FlatTree::from_value_tree(&tree, &fields)` / `flat.left(node)` / `flat.right(node)` | **removed** (only `flat.rs`'s own test called them): `FlatTree::from_value_tree_kary(&tree, &fields, 2)` / `flat.child(node, 0)` / `flat.child(node, 1)` |
+//! | `IterativeFunc::pre()` / `post()` | **removed** (no caller outside the VM): `segments[0]` / `segments[axes.len()]` |
+//! | `FrameFunc::num_returns` | **removed** (written, never read): the count is the source `Func::num_returns`.  `FrameFunc` gains `nil_returns` (the constants of a leading `if (nil(n)) { return c…; }` guard, which a call on nil returns without pushing a frame) and `body_pc` (where a non-nil activation starts); exhaustive literals must set both |
+//! | exhaustive `match` on `retreet_codegen::bytecode::Instr` | gains `JumpIfNotNil` and `JumpIfNotPos`: a test jumps past its then-branch and falls through into it |
+//! | treating any pair of errors as agreement between the interpreter and the VM | `VmError::from_interp(&interp_err) == Some(vm_err)`: both tiers must fail with the same error class |
 //! | the `bench_transform` binary, `BENCH_transform.json` and `retreet_bench::{certify_transforms, measure_transform_perf, render_transform_report, transform_report_to_json, TransformCertRow, TransformPerfRow}`; `CodegenPerfRow::{vm_fused_seconds, fused_speedup}` | **removed**: `bench_tune` certifies and times each family's canonical fusion (its first candidate, the program `fuse_main_passes` builds) on the VM alone, and fails when one is not certified or cannot be measured; `bench_codegen` times the original programs only |
 //! | `retreet_css::minify::{convert_values_visitor, minify_font_visitor, reduce_init_visitor}` | **removed**: the per-declaration passes `convert_values_decl` / `minify_font_decl` / `reduce_init_decl` remain, and `minify_unfused` / `minify_fused` run them as separate or fused traversals |
 //!

@@ -9,7 +9,7 @@ use retreet_analysis::interp;
 use retreet_analysis::vtree::ValueTree;
 use retreet_codegen::{
     certify_lowering, compile, compile_with_lowering, lower_function, trees_agree, LoweringError,
-    Vm,
+    Vm, VmError,
 };
 use retreet_lang::blocks::BlockTable;
 use retreet_lang::{ast::Program, corpus};
@@ -36,7 +36,11 @@ fn assert_tiers_agree(label: &str, program: &Program, compiled_vm: &mut Vm, tree
                 "{label}: VM post-run tree diverged from the interpreter"
             );
         }
-        (Err(_), Err(_)) => {}
+        (Err(expected), Err(actual)) => assert_eq!(
+            VmError::from_interp(&expected),
+            Some(actual),
+            "{label}: VM error class diverged from the interpreter's {expected:?}"
+        ),
         (exp, act) => panic!("{label}: tier disagreement: interp={exp:?} vm={act:?}"),
     }
 }

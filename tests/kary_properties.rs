@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use retreet_analysis::interp;
 use retreet_analysis::vtree::{complete_kary_len, TreeCorpus, ValueTree};
-use retreet_codegen::{compile, trees_agree, FlatTree, Vm};
+use retreet_codegen::{compile, trees_agree, FlatTree, Vm, VmError};
 use retreet_lang::parser::parse_program;
 use retreet_lang::pretty::print_program;
 
@@ -137,7 +137,9 @@ proptest! {
                 prop_assert_eq!(expected.returns, actual.returns);
                 prop_assert!(trees_agree(&expected.tree, &actual.tree));
             }
-            (Err(_), Err(_)) => {}
+            (Err(expected), Err(actual)) => {
+                prop_assert_eq!(VmError::from_interp(&expected), Some(actual));
+            }
             (exp, act) => prop_assert!(false, "tier disagreement: interp={exp:?} vm={act:?}"),
         }
     }
