@@ -140,6 +140,16 @@ impl ValueTree {
             .unwrap_or(0)
     }
 
+    /// The fields ever written or initialized on `node`, in name order,
+    /// with their values.  A field absent here reads 0 through
+    /// [`Self::field`].
+    pub fn fields(&self, node: NodeId) -> impl Iterator<Item = (&str, i64)> {
+        self.nodes[node.as_usize()]
+            .fields
+            .iter()
+            .map(|(name, value)| (name.as_str(), *value))
+    }
+
     /// Writes a field.
     pub fn set_field(&mut self, node: NodeId, name: &str, value: i64) {
         self.nodes[node.as_usize()]

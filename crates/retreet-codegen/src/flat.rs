@@ -9,6 +9,8 @@
 //! a seeded complete tree, built directly by [`FlatTree::complete_kary`]
 //! with no [`ValueTree`] at all.
 
+use std::cmp::Ordering;
+
 use retreet_analysis::vtree::{complete_kary_len, field_values, NodeId, ValueTree};
 
 /// The nil sentinel: `u32::MAX` marks an absent child (and the nil node a
@@ -127,6 +129,25 @@ impl FlatTree {
         self.columns[field as usize][node as usize] = value;
     }
 
+    /// This tree's view over the fields `onto`, given the names of its own
+    /// columns in column order (`fields`): column `i` of the result copies
+    /// the column named `onto[i]`, or reads 0 on every node when `fields`
+    /// has no such name, as [`FlatTree::from_value_tree_kary`] reads a
+    /// field the tree never set.  The child columns are copied unchanged.
+    pub fn project(&self, fields: &[String], onto: &[String]) -> FlatTree {
+        let columns = onto
+            .iter()
+            .map(|name| match fields.iter().position(|field| field == name) {
+                Some(column) => self.columns[column].clone(),
+                None => vec![0; self.len()],
+            })
+            .collect();
+        FlatTree {
+            children: self.children.clone(),
+            columns,
+        }
+    }
+
     /// Applies the column values back onto a copy of `original` (the tree
     /// the flat view was built from), yielding the post-run [`ValueTree`].
     pub fn write_back(&self, original: &ValueTree, fields: &[String]) -> ValueTree {
@@ -144,39 +165,141 @@ impl FlatTree {
 /// the same value through [`ValueTree::field`] (which defaults unset fields
 /// to 0).  This is the equality differential tests need — the VM
 /// materializes explicit `0` entries where the interpreter leaves a field
-/// unset, so raw [`ValueTree`] equality is too strict.
+/// unset, so raw [`ValueTree`] equality is too strict.  Compares node by
+/// node, merging the two nodes' name-ordered fields, and allocates nothing.
 pub fn trees_agree(a: &ValueTree, b: &ValueTree) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    for node in a.nodes() {
-        for axis in 0..retreet_lang::ast::MAX_ARITY as usize {
-            if a.child(node, axis) != b.child(node, axis) {
-                return false;
-            }
+    a.len() == b.len()
+        && a.nodes().all(|node| {
+            (0..retreet_lang::ast::MAX_ARITY as usize)
+                .all(|axis| a.child(node, axis) == b.child(node, axis))
+                && fields_agree(a.fields(node), b.fields(node))
+        })
+}
+
+/// Whether two name-ordered field lists read alike, a field missing from
+/// one list reading 0 there.
+fn fields_agree<'a>(
+    a: impl Iterator<Item = (&'a str, i64)>,
+    b: impl Iterator<Item = (&'a str, i64)>,
+) -> bool {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    loop {
+        let (left, right) = match (a.peek(), b.peek()) {
+            (None, None) => return true,
+            (Some(&(x, _)), Some(&(y, _))) => match x.cmp(y) {
+                Ordering::Less => (a.next(), None),
+                Ordering::Greater => (None, b.next()),
+                Ordering::Equal => (a.next(), b.next()),
+            },
+            (Some(_), None) => (a.next(), None),
+            (None, Some(_)) => (None, b.next()),
+        };
+        if left.map_or(0, |(_, value)| value) != right.map_or(0, |(_, value)| value) {
+            return false;
         }
     }
-    let mut fields: Vec<String> = a
-        .field_snapshot()
-        .into_keys()
-        .chain(b.field_snapshot().into_keys())
-        .map(|(_, field)| field)
-        .collect();
-    fields.sort();
-    fields.dedup();
-    for node in a.nodes() {
-        for field in &fields {
-            if a.field(node, field) != b.field(node, field) {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
+
+    /// The snapshot definition of [`trees_agree`], the oracle of its
+    /// property test: the same shape, and every field name either tree set
+    /// on any node reads the same on every node.
+    fn snapshot_agree(a: &ValueTree, b: &ValueTree) -> bool {
+        if a.len() != b.len() {
+            return false;
+        }
+        for node in a.nodes() {
+            for axis in 0..retreet_lang::ast::MAX_ARITY as usize {
+                if a.child(node, axis) != b.child(node, axis) {
+                    return false;
+                }
+            }
+        }
+        let mut fields: Vec<String> = a
+            .field_snapshot()
+            .into_keys()
+            .chain(b.field_snapshot().into_keys())
+            .map(|(_, field)| field)
+            .collect();
+        fields.sort();
+        fields.dedup();
+        a.nodes()
+            .all(|node| fields.iter().all(|f| a.field(node, f) == b.field(node, f)))
+    }
+
+    /// A tree grown by `(parent, axis)` steps, the parent picked modulo the
+    /// nodes so far; a step onto an occupied axis adds nothing.
+    fn grown(steps: &[(usize, usize)]) -> ValueTree {
+        let mut tree = ValueTree::single();
+        for &(parent, axis) in steps {
+            let parent = NodeId((parent % tree.len()) as u32);
+            if tree.child(parent, axis).is_none() {
+                tree.add_child(parent, axis);
+            }
+        }
+        tree
+    }
+
+    /// Applies `(node, field, value)` writes, the node picked modulo the
+    /// tree's nodes.
+    fn write(tree: &mut ValueTree, writes: &[(usize, usize, i64)]) {
+        for &(node, field, value) in writes {
+            let node = NodeId((node % tree.len()) as u32);
+            tree.set_field(node, ["a", "b", "c"][field], value);
+        }
+    }
+
+    proptest! {
+        /// The node-by-node merge decides exactly what the snapshot
+        /// definition decides.  Values are drawn from {-1, 0, 1}, so an
+        /// explicit 0 often meets an unset field, and the writes only one
+        /// tree gets set fields the other may never have.
+        #[test]
+        fn trees_agree_matches_the_snapshot_definition(
+            growth in collection::vec((0usize..8, 0usize..3), 0..6),
+            shared in collection::vec((0usize..8, 0usize..3, -1i64..2), 0..10),
+            only_b in collection::vec((0usize..8, 0usize..3, -1i64..2), 0..4),
+            reshape in 0u8..4,
+        ) {
+            let mut a = grown(&growth);
+            // One case in four drops b's last growth step: a shape change
+            // whenever that step added a node.
+            let mut b = if reshape == 0 {
+                grown(&growth[..growth.len().saturating_sub(1)])
+            } else {
+                grown(&growth)
+            };
+            write(&mut a, &shared);
+            write(&mut b, &shared);
+            write(&mut b, &only_b);
+            prop_assert_eq!(trees_agree(&a, &b), snapshot_agree(&a, &b));
+            prop_assert_eq!(trees_agree(&b, &a), snapshot_agree(&b, &a));
+        }
+    }
+
+    #[test]
+    fn project_copies_named_columns_and_zero_fills_the_rest() {
+        let mut tree = ValueTree::complete_kary(3, 3, &[], |_, _| 0);
+        tree.fill_fields(&["a", "v"], 4);
+        let own = vec!["a".to_string(), "v".to_string()];
+        let flat = FlatTree::from_value_tree_kary(&tree, &own, 3);
+        for onto in [
+            vec!["v".to_string(), "w".to_string(), "a".to_string()],
+            vec!["w".to_string()],
+            Vec::new(),
+        ] {
+            assert_eq!(
+                flat.project(&own, &onto),
+                FlatTree::from_value_tree_kary(&tree, &onto, 3),
+                "{onto:?}"
+            );
+        }
+    }
 
     #[test]
     fn flat_view_roundtrips_fields_and_shape() {
@@ -226,5 +349,11 @@ mod tests {
         assert!(trees_agree(&a, &b));
         b.set_field(b.root(), "v", 1);
         assert!(!trees_agree(&a, &b));
+        // A field set in one tree only agrees exactly when it reads 0.
+        let mut c = ValueTree::single();
+        c.set_field(c.root(), "w", 0);
+        assert!(trees_agree(&a, &c) && trees_agree(&c, &a));
+        c.set_field(c.root(), "w", -1);
+        assert!(!trees_agree(&a, &c) && !trees_agree(&c, &a));
     }
 }

@@ -177,20 +177,16 @@ impl ProgramExecutor {
         }
     }
 
-    /// The VM tier's flat view of `tree`, as [`Self::run`] builds it before
-    /// each run; `None` on the interpreter tier.
-    pub(crate) fn flat_view(&self, tree: &ValueTree) -> Option<FlatTree> {
-        let compiled = self.compiled.as_ref()?;
-        Some(FlatTree::from_value_tree_kary(
-            tree,
-            &compiled.fields,
-            compiled.arity,
-        ))
+    /// The compiled program the VM tier runs; `None` on the interpreter
+    /// tier.
+    pub(crate) fn compiled(&self) -> Option<&CompiledProgram> {
+        self.compiled.as_ref()
     }
 
-    /// One VM run on a flat view from [`Self::flat_view`], in place: no
-    /// flattening and no write-back, so a timer around it times only the
-    /// program.  Panics on the interpreter tier, which has no flat view.
+    /// One VM run on a flat tree whose columns are [`Self::compiled`]'s
+    /// fields, in place: no flattening and no write-back, so a timer around
+    /// it times only the program.  Panics on the interpreter tier, which
+    /// has no flat trees.
     pub(crate) fn run_flat(&self, tree: &mut FlatTree) -> Result<Vec<i64>, ExecError> {
         let compiled = self.compiled.as_ref().expect("flat runs need the VM tier");
         run_vm(compiled, tree)

@@ -707,23 +707,14 @@ impl Service {
                 "`tune` requests need a string field `program`",
             );
         };
-        if source_nesting(source) > MAX_PROGRAM_NESTING {
-            return error_response(
-                id,
-                "bad_request",
-                &format!("`program` nests deeper than {MAX_PROGRAM_NESTING} levels"),
-            );
-        }
+        let program = match parse_source(source, "program") {
+            Ok(program) => program,
+            Err(err) => return error_response(id, "bad_request", &err),
+        };
         let seed = match request.get("seed") {
             None => 0,
             Some(Value::Number(s)) => *s as u64,
             Some(_) => return error_response(id, "bad_request", "`seed` must be a number"),
-        };
-        let program = match retreet_lang::parse_program(source) {
-            Ok(program) => program,
-            Err(err) => {
-                return error_response(id, "bad_request", &format!("cannot parse `program`: {err}"))
-            }
         };
         let (arity, height) = match parse_tree_shape(request, &program, DEFAULT_TUNE_HEIGHT) {
             Ok(shape) => shape,
@@ -1471,10 +1462,24 @@ mod tests {
     #[test]
     fn malformed_requests_are_errors_not_crashes() {
         let service = quick_service();
-        let deep_program = format!(
-            r#"{{"kind": "race", "program": "fn Main(n) {}"}}"#,
-            "{".repeat(500_000)
-        );
+        let deep = |kind: &str| {
+            format!(
+                r#"{{"kind": "{kind}", "program": "fn Main(n) {}"}}"#,
+                "{".repeat(500_000)
+            )
+        };
+        // One byte per nesting level: each kind that takes a program must
+        // reject it by the nesting guard, before the recursive-descent
+        // program parser sees it.
+        for request in [deep("race"), deep("tune"), deep("run")] {
+            let response = service.handle_line(&request);
+            assert_eq!(
+                field(&response, "code").as_str(),
+                Some("bad_request"),
+                "{}",
+                &request[..30]
+            );
+        }
         for request in [
             "not json at all",
             "[1, 2, 3]",
@@ -1483,9 +1488,6 @@ mod tests {
             r#"{"kind": "race", "program": "fn !! syntax error"}"#,
             r#"{"kind": "validity", "formula": "(unknown x)"}"#,
             r#"{"kind": "batch"}"#,
-            // One byte per nesting level: must be rejected by the nesting
-            // guard before the recursive-descent program parser sees it.
-            deep_program.as_str(),
         ] {
             let response = service.handle_line(request);
             assert_eq!(

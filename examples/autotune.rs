@@ -2,14 +2,16 @@
 //! autotuner: enumerates the partial-fusion × parallelization space of
 //! `Main`'s three passes, certifies every candidate race-first through two
 //! `verify_batch` calls, times the survivors on the bytecode VM, prints the
-//! scored candidate table with certificates, and runs the winner.
+//! scored candidate table with certificates, and runs the winner, checked
+//! against the original on the reference interpreter.
 //!
 //! ```bash
 //! cargo run --release --example autotune
 //! ```
 
+use retreet_analysis::interp;
 use retreet_analysis::vtree::ValueTree;
-use retreet_codegen::program_fields;
+use retreet_codegen::{program_fields, trees_agree};
 use retreet_lang::corpus;
 use retreet_runtime::tune_and_compile;
 use retreet_transform::{CandidateStatus, TuneOptions};
@@ -87,16 +89,28 @@ fn main() {
     );
     println!("certificate: {}", schedule.winner.certificate);
 
-    // Run the winner on a fresh seeded tree through its compiled executor.
+    // Run the winner on a fresh seeded tree, of a height the tuner did not
+    // measure, through its compiled executor, and check it against the
+    // original on the reference interpreter.
     let fields = program_fields(&program);
     let field_refs: Vec<&str> = fields.iter().map(String::as_str).collect();
     let mut tree = ValueTree::complete(10, &field_refs, |_, _| 0);
     tree.fill_fields(&field_refs, 99);
     let outcome = tuned.executor.run(&tree).expect("the winner runs");
+    let reference = interp::run(&program, &tree).expect("the original runs");
     println!(
         "\nwinner executed on a height-10 tree ({} nodes) via the {} tier, returns {:?}",
         tree.len(),
         outcome.tier,
         outcome.returns
     );
+    assert_eq!(
+        outcome.returns, reference.returns,
+        "the winner's returns drifted from the original's"
+    );
+    assert!(
+        trees_agree(&outcome.tree, &reference.tree),
+        "the winner's post-run tree drifted from the original's"
+    );
+    println!("the winner agrees with the original on the interpreter: returns and post-run tree");
 }

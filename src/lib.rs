@@ -73,7 +73,7 @@
 //! | `retreet_runtime::visit::fuse2(&a, &b)` / `fuse3(…)` *(removed)* | fuse the passes as a program: `retreet_transform::fuse_main_passes(&verifier, &original)`, then run `t.transformed` through `ProgramExecutor` |
 //! | hand-writing a fused program and checking `Query::Equivalence` | `retreet_transform::fuse_main_passes(&verifier, &original)` — the fused program is synthesized and returned with its certificate |
 //! | `fuse_main_passes(&verifier, &p)` as the *only* schedule considered | `retreet_transform::tune(&verifier, &p, &TuneOptions::default(), &mut cost)` — whole-pass fusion is one point in the enumerated partial-fusion × parallelization space; the tuner certifies every candidate in two batches, race queries first (a racy candidate is refused with its witness and its equivalence is never asked), and returns the measured winner (never slower than best-of{original, canonical fusion}) plus the full scored table |
-//! | hand-picking between the fused and the parallel schedule by guesswork | `retreet_runtime::tune_and_compile(&verifier, &p, &options)` — the VM-backed cost model: each certified candidate compiled once through `ProgramExecutor` (interpreter timings refused), probe-run differential-checked, best-of-batches measured on the VM alone (single runs on fresh clones of the candidate's flat tree; no flattening or write-back in the timer); returns the `TunedSchedule` *and* the executor it measured for the winner, ready to run |
+//! | hand-picking between the fused and the parallel schedule by guesswork | `retreet_runtime::tune_and_compile(&verifier, &p, &options)` — the VM-backed cost model: each certified candidate compiled once through `ProgramExecutor` (interpreter timings refused), probe-run differential-checked on flat trees (one VM run on the candidate's flat view of the measurement tree, its returns and field columns compared with the original's interpreter run flattened once per tune, no write-back), best-of-batches measured on the VM alone (single runs on fresh clones of that view; no flattening or write-back in the timer); returns the `TunedSchedule` *and* the executor it measured for the winner, ready to run |
 //! | hand-writing a parallel `Main` and checking `Query::DataRace` | `retreet_transform::synthesize_parallel_main(&verifier, &sequential)` (pass level) / `retreet_transform::parallelize_recursive_calls(&verifier, &p)` (sibling recursion) |
 //! | `retreet_css::analysis_model::verify_css_fusion(&EquivOptions)` *(removed)* | `retreet_css::analysis_model::verify_css_fusion_with(&verifier)` (verdict only) or `certify_css_fusion(&verifier)` (synthesized certified transform) |
 //! | mutating `RaceOptions` / `EquivOptions` / `EnumOptions` fields | `RaceOptions::builder()…build()` / `EquivOptions::builder()…build()`, or set the budget once on the `Verifier` builder (`EnumOptions` is gone: see its row) |
@@ -146,6 +146,8 @@
 //! | exhaustive `match` on `retreet_codegen::bytecode::Instr` | gains `JumpIfNotNil` and `JumpIfNotPos`: a test jumps past its then-branch and falls through into it |
 //! | treating any pair of errors as agreement between the interpreter and the VM | `VmError::from_interp(&interp_err) == Some(vm_err)`: both tiers must fail with the same error class |
 //! | the `bench_transform` binary, `BENCH_transform.json` and `retreet_bench::{certify_transforms, measure_transform_perf, render_transform_report, transform_report_to_json, TransformCertRow, TransformPerfRow}`; `CodegenPerfRow::{vm_fused_seconds, fused_speedup}` | **removed**: `bench_tune` certifies and times each family's canonical fusion (its first candidate, the program `fuse_main_passes` builds) on the VM alone, and fails when one is not certified or cannot be measured; `bench_codegen` times the original programs only |
+//! | `tree.field_snapshot()` to walk a node's fields | `tree.fields(node)`: the fields set on one node, in name order, without building the whole tree's `(NodeId, String)` map.  `trees_agree` now merges two nodes' fields this way (same answers, no allocation) |
+//! | a `tune` request whose program fails to parse *and* whose `seed` is not a number answering the `seed` error | it answers the `program` error: `tune` parses `program` first through the same guard and parser as `run` and `race`, with the same messages |
 //! | `retreet_css::minify::{convert_values_visitor, minify_font_visitor, reduce_init_visitor}` | **removed**: the per-declaration passes `convert_values_decl` / `minify_font_decl` / `reduce_init_decl` remain, and `minify_unfused` / `minify_fused` run them as separate or fused traversals |
 //!
 //! # Benchmarks

@@ -33,8 +33,9 @@ struct TunedFamily {
     candidates: Vec<(String, Program, bool)>,
 }
 
-/// Enumerates each §5 family's schedule space once (tuning runs the full
-/// batch certification, so the result is cached across proptest cases).
+/// Enumerates the schedule space of each of the five §5 families the tuner
+/// serves once (tuning runs the full batch certification, so the result is
+/// cached across proptest cases).
 fn families() -> &'static Vec<TunedFamily> {
     static FAMILIES: OnceLock<Vec<TunedFamily>> = OnceLock::new();
     FAMILIES.get_or_init(|| {
@@ -44,6 +45,7 @@ fn families() -> &'static Vec<TunedFamily> {
             corpus::tree_mutation_original(),
             corpus::css_minify_original(),
             corpus::cycletree_original(),
+            corpus::kdtree_closest(),
         ]
         .into_iter()
         .map(|original| {
@@ -92,7 +94,7 @@ proptest! {
     /// case count runs several hundred candidate executions.
     #[test]
     fn every_enumerated_candidate_matches_the_original(
-        family_index in 0usize..4,
+        family_index in 0usize..5,
         tree_index in 0usize..200,
     ) {
         let family = &families()[family_index];
